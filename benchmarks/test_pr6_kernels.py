@@ -11,11 +11,10 @@ runs this file with ``--benchmark-json=BENCH_pr6.json``):
   :meth:`~repro.index.grid_index.GridIndex.probe_frontier` call against
   the equivalent per-query scalar ``search`` loop, hit-for-hit.
 * **End-to-end** — a Table-2-sized Controlled-Replicate join on the
-  serial executor, ``Cluster(kernel="numpy")`` against both
-  ``kernel="python"`` and the PR-2-era seed codec path
-  (``typed_io=False``), re-measured fresh on the same machine.  Output
+  serial executor, ``Cluster(kernel="numpy")`` against
+  ``kernel="python"``, re-measured fresh on the same machine.  Output
   must be byte-identical and every cost-model counter unchanged; the
-  wall-clocks and their ratios are recorded.
+  wall-clocks and their ratio are recorded.
 
 Timing floors are asserted only where the outcome is structural (the
 batched kernels must not lose to the loops they replace); the ratios
@@ -30,13 +29,14 @@ from __future__ import annotations
 import random
 import time
 
+import numpy as np
+
 from repro.experiments.common import derive_grid
 from repro.experiments.workloads import synthetic_chain
 from repro.geometry.rectangle import Rect
 from repro.index.grid_index import GridIndex
 from repro.joins.registry import make_algorithm
 from repro.joins.sweep import sweep_pairs
-from repro.kernels import numpy_or_none
 from repro.kernels.batch import RectBatch
 from repro.kernels.sweep import sweep_pairs_batch
 from repro.mapreduce.engine import Cluster
@@ -108,13 +108,11 @@ def test_sweep_kernel_batch_vs_scalar(benchmark):
 # ----------------------------------------------------------------------
 def test_grid_probe_frontier_vs_scalar(benchmark):
     """One bulk CSR frontier probe vs the per-query scalar search loop."""
-    np = numpy_or_none()
-    assert np is not None, "bench image ships numpy"
     data = _random_rects(PROBE_DATA_N, seed=7)
     queries = _random_rects(PROBE_QUERY_N, seed=9)
     idx_py = GridIndex(pairs=data, kernel="python")
     idx_np = GridIndex(pairs=data, kernel="numpy")
-    qbatch = RectBatch.from_pairs(np, queries)
+    qbatch = RectBatch.from_pairs(queries)
     positions = np.arange(len(queries), dtype=np.int64)
 
     def scalar_probe():
@@ -148,12 +146,12 @@ def test_grid_probe_frontier_vs_scalar(benchmark):
 
 
 # ----------------------------------------------------------------------
-# End-to-end: numpy kernel vs python kernel vs PR-2 seed codec path
+# End-to-end: numpy kernel vs python kernel
 # ----------------------------------------------------------------------
-def _run_crep(workload, *, kernel: str, typed_io: bool = True):
+def _run_crep(workload, *, kernel: str):
     query = Query.chain(["R1", "R2", "R3"], Overlap())
     grid = derive_grid(workload.datasets)
-    cluster = Cluster(typed_io=typed_io, kernel=kernel)
+    cluster = Cluster(kernel=kernel)
     algorithm = make_algorithm("c-rep")
     started = time.perf_counter()
     result = algorithm.run(query, workload.datasets, grid, cluster)
@@ -172,11 +170,6 @@ def test_numpy_e2e_controlled_replicate(benchmark):
 
     # Min-of-3 per leg: one simulated join is ~1s wall, and shared
     # runners jitter more than the ratios under measurement.
-    seed_runs = [
-        _run_crep(workload, kernel="python", typed_io=False) for __ in range(3)
-    ]
-    seed_wall = min(w for w, __, __ in seed_runs)
-    __, seed_output, seed_stats = seed_runs[0]
     python_runs = [_run_crep(workload, kernel="python") for __ in range(3)]
     python_wall = min(w for w, __, __ in python_runs)
     __, python_output, python_stats = python_runs[0]
@@ -190,28 +183,24 @@ def test_numpy_e2e_controlled_replicate(benchmark):
     numpy_wall = min(w for w, __, __ in numpy_runs)
     __, numpy_output, numpy_stats = numpy_runs[0]
 
-    # Byte-identical final output and unchanged cost-model counters,
-    # against both the scalar kernel and the PR-2-era seed path.
-    assert numpy_output == python_output == seed_output
-    for ref in (python_stats, seed_stats):
-        assert numpy_stats.simulated_seconds == ref.simulated_seconds
-        assert numpy_stats.shuffled_records == ref.shuffled_records
-        assert numpy_stats.rectangles_marked == ref.rectangles_marked
-        assert (
-            numpy_stats.rectangles_after_replication
-            == ref.rectangles_after_replication
-        )
-        assert numpy_stats.output_tuples == ref.output_tuples
+    # Byte-identical final output and unchanged cost-model counters.
+    assert numpy_output == python_output
+    assert numpy_stats.simulated_seconds == python_stats.simulated_seconds
+    assert numpy_stats.shuffled_records == python_stats.shuffled_records
+    assert numpy_stats.rectangles_marked == python_stats.rectangles_marked
+    assert (
+        numpy_stats.rectangles_after_replication
+        == python_stats.rectangles_after_replication
+    )
+    assert numpy_stats.output_tuples == python_stats.output_tuples
 
     benchmark.extra_info["workload"] = f"table2-row1 nI={TABLE2_N}"
     benchmark.extra_info["kernel"] = "numpy"
-    benchmark.extra_info["seed_codec_seconds"] = round(seed_wall, 3)
     benchmark.extra_info["python_kernel_seconds"] = round(python_wall, 3)
     benchmark.extra_info["numpy_kernel_seconds"] = round(numpy_wall, 3)
     benchmark.extra_info["speedup_vs_python_kernel"] = round(
         python_wall / numpy_wall, 3
     )
-    benchmark.extra_info["speedup_vs_seed_codec"] = round(seed_wall / numpy_wall, 3)
     benchmark.extra_info["simulated_seconds"] = numpy_stats.simulated_seconds
     benchmark.extra_info["shuffled_records"] = numpy_stats.shuffled_records
     benchmark.extra_info["output_tuples"] = numpy_stats.output_tuples

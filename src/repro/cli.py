@@ -442,11 +442,10 @@ def _add_executor_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--kernel",
         choices=KERNELS,
-        default="auto",
+        default="numpy",
         help=(
-            "compute kernel: 'numpy' vectorized batches, 'python' scalar, "
-            "'auto' = numpy when available (output is identical for all; "
-            "REPRO_KERNEL overrides)"
+            "compute kernel: 'numpy' vectorized batches, 'python' scalar "
+            "(output is identical for both; REPRO_KERNEL overrides)"
         ),
     )
 

@@ -268,10 +268,10 @@ def decode_result(line: str) -> tuple[int, ...]:
 class RecordCodec:
     """One line format paired with its typed record form.
 
-    ``encode`` must be the exact inverse of ``decode``: the golden
-    equivalence tests run whole joins with records crossing job
-    boundaries as objects and again as strings and require byte-for-byte
-    identical DFS output.
+    ``encode`` must be the exact inverse of ``decode``: mappers receive a
+    file's resident typed records instead of re-parsing its lines, so
+    the two must agree record for record (pinned by the codec round-trip
+    property and the typed-cache golden test).
     """
 
     #: registry name (stable; job specs and tests refer to codecs by it)

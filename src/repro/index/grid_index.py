@@ -20,9 +20,10 @@ import math
 from collections.abc import Iterable, Iterator
 from typing import Any
 
+import numpy as np
+
 from repro.geometry.rectangle import Rect
 from repro.index.base import Entry
-from repro.kernels import numpy_or_none
 from repro.kernels.batch import RectBatch
 
 __all__ = ["GridIndex"]
@@ -71,15 +72,13 @@ class GridIndex:
         #: columnar bound arrays (numpy kernel only; None on the scalar path)
         self.batch: RectBatch | None = None
         self._rid_array: Any = None
-        self._np = None
         if n == 0:
             self._nx = self._ny = 1
             self._buckets: dict[tuple[int, int], list[int]] = {}
             self._bounds_list: list[tuple[float, float, float, float]] | None = []
             return
-        np = numpy_or_none() if kernel == "numpy" else None
-        if np is not None:
-            self._build_numpy(np, n, target_per_bucket)
+        if kernel == "numpy":
+            self._build_numpy(n, target_per_bucket)
             return
         # Bounds are kept as exact corner floats: round-tripping them
         # through a Rect can shrink the box by an ulp and wrongly fail
@@ -141,7 +140,7 @@ class GridIndex:
             pairs = self._pairs = [(e.payload, e.rect) for e in self._ent]
         return pairs
 
-    def _build_numpy(self, np, n: int, target_per_bucket: int) -> None:
+    def _build_numpy(self, n: int, target_per_bucket: int) -> None:
         """Columnar build: same buckets, same order, no per-entry loop.
 
         A bucket's list is its member entry indices in ascending order —
@@ -149,14 +148,11 @@ class GridIndex:
         entry appears at most once per bucket.  The stable argsort over
         the expanded (bucket-key, entry) pairs preserves that order.
         """
-        self._np = np
         pairs = self._pairs
         if pairs is not None:
-            batch = RectBatch.from_pairs(np, pairs)
+            batch = RectBatch.from_pairs(pairs)
         else:
-            batch = RectBatch.from_pairs(
-                np, ((e.payload, e.rect) for e in self._ent)
-            )
+            batch = RectBatch.from_pairs((e.payload, e.rect) for e in self._ent)
         self.batch = batch
         bx_min, bx_max = batch.x_min, batch.x_max
         by_min, by_max = batch.y_min, batch.y_max
@@ -230,7 +226,6 @@ class GridIndex:
         """int64 payload array (numpy kernel with integer payloads), lazy."""
         arr = self._rid_array
         if arr is _UNSET:
-            np = self._np
             try:
                 arr = np.array(self.batch.ids, dtype=np.int64)
             except (TypeError, ValueError, OverflowError):
@@ -242,7 +237,6 @@ class GridIndex:
     def _csr_offsets(self):
         offs = self._csr_offsets_cache
         if offs is None:
-            np = self._np
             offs = self._csr_offsets_cache = np.searchsorted(
                 self._csr_keys,
                 np.arange(self._nx * self._ny + 1, dtype=np.int64),
@@ -355,7 +349,6 @@ class GridIndex:
 
     def _search_bounds(self, qx_min, qx_max, qy_min, qy_max):
         """:meth:`search_batch` body for precomputed, in-range bounds."""
-        np = self._np
         empty = self._empty
         ix_lo = self._clamp_x(qx_min)
         ix_hi = self._clamp_x(qx_max)
@@ -410,7 +403,6 @@ class GridIndex:
         """
         if not self._n:
             return [], [], 0
-        np = self._np
         if d > 0:
             qx_min = rect.x - d
             qx_max = qx_min + (rect.l + 2 * d)
@@ -531,7 +523,6 @@ class GridIndex:
         scanned slot — duplicates included — as the individual searches
         would charge.  Only on a ``kernel="numpy"`` index.
         """
-        np = self._np
         x = batch_q.x[pos]
         length = batch_q.length[pos]
         y = batch_q.y[pos]

@@ -34,7 +34,6 @@ from repro.joins.reducers import (
     rect_value,
 )
 from repro.data.io import RECT_CODEC
-from repro.kernels import numpy_or_none
 from repro.kernels import transforms as _kt
 from repro.kernels.batch import RectBatch
 from repro.mapreduce.engine import Cluster
@@ -115,16 +114,13 @@ def _make_batch_mapper(grid: GridPartitioning):
     call: the exact pairs, per-bucket order, byte totals and join
     counters of the scalar mapper.
     """
-    np = numpy_or_none()
 
     def batch_mapper(split_entries, ctx: MapContext, batch=None) -> None:
         if not split_entries:
             return
         if batch is None:
-            batch = RectBatch.from_pairs(
-                np, (rec for __, __, rec, __ in split_entries)
-            )
-        cids, counts = _kt.quadrant_cell_lists(np, grid, batch)
+            batch = RectBatch.from_pairs(rec for __, __, rec, __ in split_entries)
+        cids, counts = _kt.quadrant_cell_lists(grid, batch)
         ds_cache: dict[str, str] = {}
         values = []
         sizes = []

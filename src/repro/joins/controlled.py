@@ -44,7 +44,6 @@ from repro.joins.base import (
 from repro.joins.limits import ReplicationLimits
 from repro.joins.local import LocalJoiner
 from repro.joins.marking import MarkingEngine
-from repro.kernels import numpy_or_none
 from repro.kernels import transforms as _kt
 from repro.kernels.batch import RectBatch
 from repro.joins.reducers import (
@@ -171,16 +170,13 @@ def _make_mark_batch_mapper(grid: GridPartitioning):
     ``emit_batch`` call: record ``k``'s cells row-major, the exact
     pairs, per-bucket order and byte totals of the scalar mapper.
     """
-    np = numpy_or_none()
 
     def batch_mapper(split_entries, ctx: MapContext, batch=None) -> None:
         if not split_entries:
             return
         if batch is None:
-            batch = RectBatch.from_pairs(
-                np, (rec for __, __, rec, __ in split_entries)
-            )
-        keys, counts = _kt.overlap_cell_lists(np, grid, batch)
+            batch = RectBatch.from_pairs(rec for __, __, rec, __ in split_entries)
+        keys, counts = _kt.overlap_cell_lists(grid, batch)
         ds_cache: dict[str, str] = {}
         # The mark job always ships RECT_SHUFFLE_CODEC, whose pair size
         # depends only on the dataset name — one sizing per dataset.
@@ -276,7 +272,6 @@ def _make_route_batch_mapper(grid: GridPartitioning, limits: ReplicationLimits):
     order and flushed in a single ``emit_batch`` call, reproducing the
     scalar mapper's per-bucket emission order exactly.
     """
-    np = numpy_or_none()
     metric = limits.metric
 
     def batch_mapper(split_entries, ctx: MapContext, batch=None) -> None:
@@ -287,9 +282,9 @@ def _make_route_batch_mapper(grid: GridPartitioning, limits: ReplicationLimits):
         targets: list = [None] * n
         unmarked = [k for k, t in enumerate(records) if not t.marked]
         if unmarked:
-            ub = RectBatch.from_rects(np, (records[k].rect for k in unmarked))
+            ub = RectBatch.from_rects(records[k].rect for k in unmarked)
             for k, cid in zip(
-                unmarked, _kt.cell_ids_of_starts(np, grid, ub).tolist()
+                unmarked, _kt.cell_ids_of_starts(grid, ub).tolist()
             ):
                 targets[k] = cid
         by_bound: dict[float, list[int]] = {}
@@ -297,12 +292,12 @@ def _make_route_batch_mapper(grid: GridPartitioning, limits: ReplicationLimits):
             if tagged.marked:
                 by_bound.setdefault(limits.bound_for(tagged.dataset), []).append(k)
         for bound, idxs in by_bound.items():
-            mb = RectBatch.from_rects(np, (records[k].rect for k in idxs))
+            mb = RectBatch.from_rects(records[k].rect for k in idxs)
             if math.isinf(bound):
-                cids, counts = _kt.quadrant_cell_lists(np, grid, mb)
+                cids, counts = _kt.quadrant_cell_lists(grid, mb)
             else:
                 cids, counts = _kt.quadrant_cell_lists(
-                    np, grid, mb, d=bound, metric=metric
+                    grid, mb, d=bound, metric=metric
                 )
             pos = 0
             for k, cnt in zip(idxs, counts):

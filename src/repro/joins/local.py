@@ -23,10 +23,11 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from repro.errors import JoinError
 from repro.geometry.rectangle import Rect
 from repro.index import make_index
-from repro.kernels import numpy_or_none
 from repro.kernels.batch import RectBatch
 from repro.kernels.predicates import pair_mask, supports_triples, triple_mask
 from repro.query.graph import JoinGraph
@@ -121,8 +122,7 @@ class LocalJoiner:
         # filter the whole candidate set in one pass.  Depths that fail
         # the test (or non-grid indexes, or non-integer rids when a
         # distinctness filter is needed) fall back to the scalar loop.
-        self._np = numpy_or_none() if kernel == "numpy" else None
-        if self._np is not None:
+        if kernel == "numpy":
             self._vec_plans = tuple(
                 p.anchor is not None
                 and supports_triples([p.anchor, *(t for t, __ in p.checks)])
@@ -134,7 +134,7 @@ class LocalJoiner:
         # depth is vectorizable, the whole search runs breadth-first over
         # arrays of partial assignments — one bulk index probe and one
         # mask pass per depth instead of one probe per parent binding.
-        self._frontier_ok = self._np is not None and len(plans) >= 2 and all(
+        self._frontier_ok = kernel == "numpy" and len(plans) >= 2 and all(
             self._vec_plans[1:]
         )
 
@@ -199,7 +199,6 @@ class LocalJoiner:
         assignment: Assignment = {}
         plans = self.plans
         nplans = len(plans)
-        np = self._np
         vec_plans = self._vec_plans
 
         # The same rectangle is re-probed under every parent binding it
@@ -234,7 +233,7 @@ class LocalJoiner:
                 alive = survivors = None
                 if n_cand:
                     alive = triple_mask(
-                        np, plan.anchor, slot, idx.batch, matched, anchor_rect
+                        plan.anchor, slot, idx.batch, matched, anchor_rect
                     )
                     if not plan.same_dataset and not plan.checks:
                         entry_at = idx.entry_at
@@ -267,7 +266,7 @@ class LocalJoiner:
                     return
                 # Non-inplace: ``alive`` may be the cached anchor mask.
                 alive = alive & triple_mask(
-                    np, triple, slot, batch, matched, assignment[other_slot][1]
+                    triple, slot, batch, matched, assignment[other_slot][1]
                 )
             entry_at = idx.entry_at
             for eidx in matched[alive].tolist():
@@ -393,7 +392,7 @@ class LocalJoiner:
             checks += m0
             frontier: dict[str, Any] = {slot0: np.arange(m0, dtype=np.int64)}
             batches: dict[str, RectBatch] = {
-                slot0: RectBatch.from_pairs(np, bag0)
+                slot0: RectBatch.from_pairs(bag0)
             }
             for depth in range(1, nplans):
                 plan = plans[depth]
@@ -419,7 +418,7 @@ class LocalJoiner:
                 )
                 checks += len(e_flat)
                 alive = pair_mask(
-                    np, plan.anchor, slot, idx.batch, e_flat, abatch, apos[p_flat]
+                    plan.anchor, slot, idx.batch, e_flat, abatch, apos[p_flat]
                 )
                 for s in plan.same_dataset:
                     alive = alive & (
@@ -432,7 +431,6 @@ class LocalJoiner:
                     if not n_alive:
                         break
                     alive = alive & pair_mask(
-                        np,
                         triple,
                         slot,
                         idx.batch,

@@ -38,7 +38,6 @@ from repro.geometry.rectangle import Rect
 from repro.grid.cell import Cell
 from repro.grid.partitioning import GridPartitioning
 from repro.index import make_index
-from repro.kernels import numpy_or_none
 from repro.kernels import transforms as _kt
 from repro.kernels.batch import RectBatch
 from repro.query.graph import JoinGraph
@@ -91,7 +90,6 @@ class MarkingEngine:
         self.grid = grid
         self.index_kind = index_kind
         self.kernel = kernel
-        self._np = numpy_or_none() if kernel == "numpy" else None
         self.graph = JoinGraph(query)
         self._subsets = {
             slot: self.graph.connected_subsets_containing(slot)
@@ -199,7 +197,7 @@ class MarkingEngine:
         # plus the start-point owner id (reused for witness members
         # below).  The numpy kernel computes both columnarly per bag,
         # reusing the index's column arrays (same rects, same order).
-        np = self._np
+        columnar = self.kernel == "numpy"
         # Nested per-dataset maps: the embedding search looks gaps up per
         # probe candidate, so ``gap[dataset][rid]`` avoids building a
         # ``(dataset, rid)`` tuple on every lookup in that hot loop.
@@ -209,12 +207,12 @@ class MarkingEngine:
         for dataset, rects in received.items():
             gap_d = gap[dataset] = {}
             own_d = owner[dataset] = {}
-            if np is not None and rects:
+            if columnar and rects:
                 batch = getattr(indexes[dataset], "batch", None)
                 if batch is None:
-                    batch = RectBatch.from_pairs(np, rects)
-                gaps = _kt.min_gaps_to_other_cell(np, self.grid, batch, cell).tolist()
-                cids = _kt.cell_ids_of_starts(np, self.grid, batch).tolist()
+                    batch = RectBatch.from_pairs(rects)
+                gaps = _kt.min_gaps_to_other_cell(self.grid, batch, cell).tolist()
+                cids = _kt.cell_ids_of_starts(self.grid, batch).tolist()
                 for (rid, rect), g, cid in zip(rects, gaps, cids):
                     gap_d[rid] = g
                     own_d[rid] = cid
@@ -235,7 +233,7 @@ class MarkingEngine:
         # candidates and subsets.  The memo carries scan positions, so
         # the searches still charge probes exactly as their lazy scalar
         # generators would (see ``probe_batch``).
-        probe_cache: dict | None = {} if np is not None else None
+        probe_cache: dict | None = {} if columnar else None
         # The subsets a slot can witness with are fixed per cell (they
         # depend only on which datasets sent candidates here), as are
         # their C2 requirement tables — hoisted out of the per-rectangle

@@ -15,13 +15,14 @@ derived from them) are identical to the seed.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.data.io import encode_result
 from repro.geometry.rectangle import Rect
 from repro.grid.partitioning import GridPartitioning
 from repro.joins.base import CNT_OUTPUT_TUPLES, JOIN_COUNTERS
 from repro.joins.dedup import tuple_owner
 from repro.joins.local import LocalJoiner
-from repro.kernels import numpy_or_none
 from repro.kernels import transforms as _kt
 from repro.mapreduce.job import ReduceContext, ShuffleCodec
 from repro.query.query import Query
@@ -53,7 +54,7 @@ def make_local_join_reducer(
 ):
     """Reducer: local multi-way join + owner-cell duplicate avoidance."""
     slot_order = query.slots
-    np = numpy_or_none() if kernel == "numpy" else None
+    columnar = kernel == "numpy"
 
     def reducer(cell_id: int, values, ctx: ReduceContext) -> None:
         by_dataset: dict[str, list[tuple[int, Rect]]] = {}
@@ -63,7 +64,7 @@ def make_local_join_reducer(
             slot: by_dataset.get(query.dataset_of(slot), [])
             for slot in slot_order
         }
-        if np is not None:
+        if columnar:
             fr, assignments, ops = joiner.enumerate_columnar(rects_by_slot)
         else:
             fr = None
@@ -79,8 +80,8 @@ def make_local_join_reducer(
             xs = np.maximum.reduce([fr.batches[s].x[pos[s]] for s in fr.slots])
             ys = np.minimum.reduce([fr.batches[s].y[pos[s]] for s in fr.slots])
             owners = (
-                _kt.rows_of_y(np, grid, ys) * grid.cols
-                + _kt.cols_of_x(np, grid, xs)
+                _kt.rows_of_y(grid, ys) * grid.cols
+                + _kt.cols_of_x(grid, xs)
             ).tolist()
             rid_cols = [
                 [fr.bags[s][p][0] for p in pos[s].tolist()] for s in slot_order
@@ -95,7 +96,7 @@ def make_local_join_reducer(
                 ctx.emit_all(lines)
             return
         owners = None
-        if np is not None and len(assignments) >= 4:
+        if columnar and len(assignments) >= 4:
             # tuple_owner for every assignment at once: owner of the
             # bottom-right-most start point (max x, min y).
             m = len(slot_order)
@@ -104,8 +105,8 @@ def make_local_join_reducer(
             ]
             coords = np.array(flat, dtype=np.float64).reshape(-1, m, 2)
             owners = (
-                _kt.rows_of_y(np, grid, coords[:, :, 1].min(axis=1)) * grid.cols
-                + _kt.cols_of_x(np, grid, coords[:, :, 0].max(axis=1))
+                _kt.rows_of_y(grid, coords[:, :, 1].min(axis=1)) * grid.cols
+                + _kt.cols_of_x(grid, coords[:, :, 0].max(axis=1))
             ).tolist()
         for k, assignment in enumerate(assignments):
             owner = (

@@ -13,12 +13,12 @@ simulated seconds do not depend on the kernel.
 
 Kernel selection
 ----------------
-``Cluster(kernel=...)`` / ``--kernel`` accept ``"auto"`` (default),
-``"numpy"`` or ``"python"``; the ``REPRO_KERNEL`` environment variable
-overrides either.  Resolution is deliberately forgiving: the numpy path
-is an optimisation, never a requirement, so ``"auto"`` and even an
-explicit ``"numpy"`` fall back to ``"python"`` when numpy cannot be
-imported.  Only an unknown kernel name is an error.
+``Cluster(kernel=...)`` / ``--kernel`` accept ``"numpy"`` (default) or
+``"python"``; the ``REPRO_KERNEL`` environment variable overrides
+either.  numpy is a hard dependency, so the numpy kernel always runs
+when selected; the python kernel stays as the reference the golden
+suites compare against.  An unknown name — requested or from the
+environment — is a :class:`~repro.errors.JobError`.
 """
 
 from __future__ import annotations
@@ -27,41 +27,30 @@ import os
 
 from repro.errors import JobError
 
-__all__ = ["KERNELS", "numpy_or_none", "resolve_kernel"]
+__all__ = ["KERNELS", "resolve_kernel"]
 
 #: Accepted values for ``Cluster.kernel`` / ``--kernel`` / ``REPRO_KERNEL``.
-KERNELS = ("auto", "numpy", "python")
-
-_NUMPY = None
-_NUMPY_CHECKED = False
+KERNELS = ("numpy", "python")
 
 
-def numpy_or_none():
-    """The ``numpy`` module, or ``None`` when it cannot be imported."""
-    global _NUMPY, _NUMPY_CHECKED
-    if not _NUMPY_CHECKED:
-        try:
-            import numpy
-        except ImportError:  # pragma: no cover - exercised via fallback tests
-            numpy = None
-        _NUMPY = numpy
-        _NUMPY_CHECKED = True
-    return _NUMPY
+def _checked(kernel: str, source: str) -> str:
+    if kernel not in KERNELS:
+        raise JobError(
+            f"unknown kernel {kernel!r} ({source}); expected one of "
+            f"{', '.join(KERNELS)}"
+        )
+    return kernel
 
 
-def resolve_kernel(requested: str = "auto") -> str:
+def resolve_kernel(requested: str = "numpy") -> str:
     """Resolve a kernel request to the concrete kernel to run.
 
     Returns ``"numpy"`` or ``"python"``.  ``REPRO_KERNEL`` (when set and
-    non-empty) takes precedence over ``requested``.
+    non-empty) takes precedence over ``requested``; both are validated,
+    so an invalid request is never hidden by the override.
     """
+    _checked(requested, "requested")
     env = os.environ.get("REPRO_KERNEL")
     if env:
-        requested = env
-    if requested not in KERNELS:
-        raise JobError(
-            f"unknown kernel {requested!r}; expected one of {', '.join(KERNELS)}"
-        )
-    if requested == "python":
-        return "python"
-    return "numpy" if numpy_or_none() is not None else "python"
+        return _checked(env, "from REPRO_KERNEL")
+    return requested

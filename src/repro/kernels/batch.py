@@ -15,6 +15,8 @@ predicate's enlargement (`Rect._enlarged_intersects`) is defined on
 
 from __future__ import annotations
 
+import numpy as np
+
 __all__ = ["RectBatch"]
 
 
@@ -23,7 +25,7 @@ class RectBatch:
 
     __slots__ = ("ids", "x", "length", "y", "breadth", "x_min", "x_max", "y_min", "y_max", "n")
 
-    def __init__(self, np, ids, x, length, y, breadth):
+    def __init__(self, ids, x, length, y, breadth):
         self.ids = ids
         self.x = x
         self.length = length
@@ -37,21 +39,21 @@ class RectBatch:
         self.n = len(x)
 
     @classmethod
-    def from_pairs(cls, np, pairs):
+    def from_pairs(cls, pairs):
         """Build from an iterable of ``(rid, Rect)`` pairs."""
         pairs = list(pairs)
         ids = [rid for rid, __ in pairs]
         flat = [c for __, r in pairs for c in (r.x, r.l, r.y, r.b)]
-        return cls(np, ids, *cls._columns(np, flat))
+        return cls(ids, *cls._columns(flat))
 
     @classmethod
-    def from_rects(cls, np, rects):
+    def from_rects(cls, rects):
         """Build from an iterable of bare :class:`Rect` objects."""
         flat = [c for r in rects for c in (r.x, r.l, r.y, r.b)]
-        return cls(np, None, *cls._columns(np, flat))
+        return cls(None, *cls._columns(flat))
 
     @staticmethod
-    def _columns(np, flat):
+    def _columns(flat):
         if not flat:
             empty = np.empty(0, dtype=np.float64)
             return empty, empty, empty, empty

@@ -15,6 +15,8 @@ scalar path (the numpy kernel never guesses at semantics).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.query.predicates import Contains, Overlap, Range
 
 __all__ = ["supports_triples", "triple_mask", "pair_mask"]
@@ -27,7 +29,7 @@ def supports_triples(triples) -> bool:
     return all(type(t.predicate) in _VECTORIZED for t in triples)
 
 
-def triple_mask(np, triple, slot, batch, idx, other):
+def triple_mask(triple, slot, batch, idx, other):
     """``triple.holds_with(slot, batch[i], other)`` for every ``i`` in ``idx``.
 
     ``batch`` is a :class:`repro.kernels.batch.RectBatch` (the candidate
@@ -46,7 +48,7 @@ def triple_mask(np, triple, slot, batch, idx, other):
             & (other.y_min <= batch.y_max[idx])
         )
     if kind is Range:
-        return _range_mask(np, p.d, batch, idx, other)
+        return _range_mask(p.d, batch, idx, other)
     if kind is Contains:
         x_min = batch.x_min[idx]
         x_max = batch.x_max[idx]
@@ -70,7 +72,7 @@ def triple_mask(np, triple, slot, batch, idx, other):
     return None
 
 
-def pair_mask(np, triple, slot, batch_a, ia, batch_b, ib):
+def pair_mask(triple, slot, batch_a, ia, batch_b, ib):
     """``triple.holds_with(slot, a_i, b_i)`` for aligned row pairs.
 
     The row-pair twin of :func:`triple_mask` for frontier evaluation:
@@ -143,7 +145,7 @@ def pair_mask(np, triple, slot, batch_a, ia, batch_b, ib):
     return None
 
 
-def _range_mask(np, d, batch, idx, other):
+def _range_mask(d, batch, idx, other):
     """``candidate.within_distance(other, d)`` elementwise.
 
     ``within_distance`` is symmetric expression-by-expression (both

@@ -28,14 +28,15 @@ The y-window test is the scalar expression verbatim:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import JoinError
-from repro.kernels import numpy_or_none
 from repro.kernels.batch import RectBatch
 
 __all__ = ["sweep_pairs_batch"]
 
 
-def _expand_ranges(np, lo, hi):
+def _expand_ranges(lo, hi):
     """Expand per-source index ranges ``[lo[k], hi[k])`` into flat
     ``(source, target)`` index arrays, sources in order."""
     cnt = hi - lo
@@ -50,20 +51,13 @@ def _expand_ranges(np, lo, hi):
     return src, tgt
 
 
-def sweep_pairs_batch(left, right, d: float = 0.0, np=None):
+def sweep_pairs_batch(left, right, d: float = 0.0):
     """All ``(left_id, right_id)`` pairs within distance ``d``, in the
     exact order :func:`repro.joins.sweep.sweep_pairs` yields them.
 
     ``left`` and ``right`` are sequences of ``(rid, Rect)`` pairs.
-    Returns a list.  Falls back to the scalar sweep when numpy is
-    unavailable.
+    Returns a list.
     """
-    if np is None:
-        np = numpy_or_none()
-    if np is None:  # pragma: no cover - numpy is present in CI
-        from repro.joins.sweep import sweep_pairs
-
-        return list(sweep_pairs(left, right, d))
     if d < 0:
         raise JoinError(f"distance must be non-negative, got {d}")
     left = list(left)
@@ -71,8 +65,8 @@ def sweep_pairs_batch(left, right, d: float = 0.0, np=None):
     if not left or not right:
         return []
 
-    lb = RectBatch.from_pairs(np, left)
-    rb = RectBatch.from_pairs(np, right)
+    lb = RectBatch.from_pairs(left)
+    rb = RectBatch.from_pairs(right)
     lorder = np.argsort(lb.x_min, kind="stable")
     rorder = np.argsort(rb.x_min, kind="stable")
     lx_min = lb.x_min[lorder]
@@ -103,12 +97,12 @@ def sweep_pairs_batch(left, right, d: float = 0.0, np=None):
     # (``rshift[j] <= lx_max[i]``).
     a_lo = np.searchsorted(rx_min, lx_min, side="left")
     a_hi = np.searchsorted(rshift, lx_max, side="right")
-    li_a, rj_a = _expand_ranges(np, a_lo, a_hi)
+    li_a, rj_a = _expand_ranges(a_lo, a_hi)
     # Group B: right j is strictly earlier, the pair is emitted at left
     # event i (``lx_min[i] > rx_min[j]`` and ``lshift[i] <= rx_max[j]``).
     b_lo = np.searchsorted(lx_min, rx_min, side="right")
     b_hi = np.searchsorted(lshift, rx_max, side="right")
-    rj_b, li_b = _expand_ranges(np, b_lo, b_hi)
+    rj_b, li_b = _expand_ranges(b_lo, b_hi)
 
     # Exact y-window (symmetric in the two groups).
     mask_a = (ry_lo[rj_a] <= ly_max[li_a]) & (ly_lo[li_a] <= ry_max[rj_a])

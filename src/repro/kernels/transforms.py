@@ -16,6 +16,8 @@ which is what the broadcast mask computes.
 
 from __future__ import annotations
 
+import numpy as np
+
 __all__ = [
     "cell_ids_of_starts",
     "col_ranges",
@@ -29,7 +31,7 @@ __all__ = [
 ]
 
 
-def grid_edges(np, grid):
+def grid_edges(grid):
     """Float64 mirrors of the grid's boundary lists, cached on the grid.
 
     Returns ``(x_edges, y_edges, row_edges, col_edges)`` where
@@ -48,39 +50,39 @@ def grid_edges(np, grid):
     return cached
 
 
-def cols_of_x(np, grid, px):
+def cols_of_x(grid, px):
     """``col_of_x`` for an array of x coordinates."""
-    x_edges = grid_edges(np, grid)[0]
+    x_edges = grid_edges(grid)[0]
     c = np.searchsorted(x_edges, px, side="right") - 1
     # minimum(maximum(...)) is np.clip by definition, minus clip's
     # per-call dtype-limit construction — these run once per cell batch.
     return np.minimum(np.maximum(c, 0), grid.cols - 1)
 
 
-def rows_of_y(np, grid, py):
+def rows_of_y(grid, py):
     """``row_of_y`` for an array of y coordinates."""
-    y_edges = grid_edges(np, grid)[1]
+    y_edges = grid_edges(grid)[1]
     p = np.searchsorted(y_edges, py, side="left")
     return np.minimum(np.maximum(grid.rows - p, 0), grid.rows - 1)
 
 
-def cell_ids_of_starts(np, grid, batch):
+def cell_ids_of_starts(grid, batch):
     """``cell_id_of`` (start-point ownership) for a whole batch."""
-    return rows_of_y(np, grid, batch.y) * grid.cols + cols_of_x(np, grid, batch.x)
+    return rows_of_y(grid, batch.y) * grid.cols + cols_of_x(grid, batch.x)
 
 
-def col_ranges(np, grid, batch):
+def col_ranges(grid, batch):
     """``col_range`` for a whole batch: two int arrays ``(lo, hi)``."""
-    x_edges = grid_edges(np, grid)[0]
+    x_edges = grid_edges(grid)[0]
     last = grid.cols - 1
     lo = np.minimum(np.maximum(np.searchsorted(x_edges, batch.x_min, side="left") - 1, 0), last)
     hi = np.minimum(np.maximum(np.searchsorted(x_edges, batch.x_max, side="right") - 1, 0), last)
     return lo, np.maximum(lo, hi)
 
 
-def row_ranges(np, grid, batch):
+def row_ranges(grid, batch):
     """``row_range`` for a whole batch: two int arrays ``(lo, hi)``."""
-    y_edges = grid_edges(np, grid)[1]
+    y_edges = grid_edges(grid)[1]
     rows = grid.rows
     a_hi = np.minimum(np.maximum(np.searchsorted(y_edges, batch.y_max, side="right") - 1, 0), rows - 1)
     a_lo = np.minimum(np.maximum(np.searchsorted(y_edges, batch.y_min, side="left") - 1, 0), rows - 1)
@@ -89,13 +91,13 @@ def row_ranges(np, grid, batch):
     return lo, np.maximum(lo, hi)
 
 
-def min_gaps_to_other_cell(np, grid, batch, cell):
+def min_gaps_to_other_cell(grid, batch, cell):
     """``min_gap_to_other_cell(rect, cell)`` for a whole batch."""
     n = batch.n
     if grid.num_cells == 1:
         return np.full(n, np.inf)
-    c_lo, c_hi = col_ranges(np, grid, batch)
-    r_lo, r_hi = row_ranges(np, grid, batch)
+    c_lo, c_hi = col_ranges(grid, batch)
+    r_lo, r_hi = row_ranges(grid, batch)
     inside = (c_lo == c_hi) & (c_hi == cell.col) & (r_lo == r_hi) & (r_hi == cell.row)
     gap = None
     if cell.col > 0:
@@ -114,7 +116,7 @@ def min_gaps_to_other_cell(np, grid, batch, cell):
     return np.where(inside, gap, 0.0)
 
 
-def overlap_cell_lists(np, grid, batch):
+def overlap_cell_lists(grid, batch):
     """Per-record overlapped cells (the ``split`` targets), flattened.
 
     Columnar twin of ``split(rect, grid)``'s cell enumeration: for every
@@ -125,8 +127,8 @@ def overlap_cell_lists(np, grid, batch):
     """
     rows = grid.rows
     cols = grid.cols
-    c_lo, c_hi = col_ranges(np, grid, batch)
-    r_lo, r_hi = row_ranges(np, grid, batch)
+    c_lo, c_hi = col_ranges(grid, batch)
+    r_lo, r_hi = row_ranges(grid, batch)
     ar = np.arange(rows)
     ac = np.arange(cols)
     rmask = (ar >= r_lo[:, None]) & (ar <= r_hi[:, None])
@@ -137,7 +139,7 @@ def overlap_cell_lists(np, grid, batch):
     return row * cols + col, counts
 
 
-def quadrant_cell_lists(np, grid, batch, d=None, metric="euclidean"):
+def quadrant_cell_lists(grid, batch, d=None, metric="euclidean"):
     """Per-record ``f1``/``f2`` target cells, flattened.
 
     Computes ``fourth_quadrant(cell_of(rect))`` (when ``d`` is None,
@@ -148,14 +150,14 @@ def quadrant_cell_lists(np, grid, batch, d=None, metric="euclidean"):
     """
     rows = grid.rows
     cols = grid.cols
-    row_a = rows_of_y(np, grid, batch.y)
-    col_a = cols_of_x(np, grid, batch.x)
+    row_a = rows_of_y(grid, batch.y)
+    col_a = cols_of_x(grid, batch.x)
     rmask = np.arange(rows) >= row_a[:, None]
     cmask = np.arange(cols) >= col_a[:, None]
     if d is None:
         mask = rmask[:, :, None] & cmask[:, None, :]
     else:
-        row_edges, col_edges = grid_edges(np, grid)[2:]
+        row_edges, col_edges = grid_edges(grid)[2:]
         dy = np.maximum(0.0, batch.y_min[:, None] - row_edges)
         dx = np.maximum(0.0, col_edges - batch.x_max[:, None])
         rok = rmask & (dy <= d)

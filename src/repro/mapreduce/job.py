@@ -32,9 +32,10 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from repro.data.io import RecordCodec
 from repro.errors import JobError
-from repro.kernels import numpy_or_none
 from repro.mapreduce.counters import C, Counters
 
 __all__ = [
@@ -156,7 +157,6 @@ class BucketSegment:
         return (self.keys.tobytes(), self.values)
 
     def __setstate__(self, state) -> None:
-        np = numpy_or_none()
         raw, self.values = state
         self.keys = np.frombuffer(raw, dtype=np.int64)
 
@@ -170,7 +170,6 @@ class MapContext:
         num_reducers: int,
         partitioner,
         shuffle_codec: ShuffleCodec = DEFAULT_SHUFFLE_CODEC,
-        columnar: bool = True,
     ) -> None:
         self._counters = counters
         self._num_reducers = num_reducers
@@ -178,7 +177,6 @@ class MapContext:
         # Bound once: emit() is the hottest call in a map task.
         self._key_size = shuffle_codec.key_size
         self._value_size = shuffle_codec.value_size
-        self._columnar = columnar
         self.buckets: list[list[tuple[Any, Any]]] = [[] for __ in range(num_reducers)]
         #: estimated bytes per bucket — the reduce task that merges
         #: bucket ``r`` of every map task charges these as input bytes
@@ -246,9 +244,8 @@ class MapContext:
         ----------
         keys:
             Flattened integer target keys, group-major: group ``g``'s
-            targets occupy the next ``counts[g]`` entries.  An int64
-            numpy array on the columnar path (a list also works on the
-            fallback paths).
+            targets occupy the next ``counts[g]`` entries: an int64
+            numpy array or a list of ints.
         counts:
             Per-group target count, parallel to ``values``.
         values:
@@ -261,45 +258,12 @@ class MapContext:
 
         Semantically equivalent to the nested scalar loop
         ``for g: for key in targets(g): emit(key, values[g])`` — same
-        pairs, same per-bucket order, same counter totals.  On the
-        columnar path the emissions are routed with one vectorized
-        partition + stable argsort and stored as per-bucket
-        :class:`BucketSegment` runs instead of ``(key, value)`` pairs.
+        pairs, same per-bucket order, same counter totals.  The
+        emissions are routed with one vectorized partition + stable
+        argsort and stored as per-bucket :class:`BucketSegment` runs
+        instead of ``(key, value)`` pairs.
         """
-        np = numpy_or_none()
         num_reducers = self._num_reducers
-        if np is None or not self._columnar:
-            # Row fallback (``columnar_shuffle=False`` baseline): the
-            # same direct bucket appends a hand-written batch mapper
-            # would do, settled with one bulk accounting call.
-            buckets = self.buckets
-            bucket_bytes = self.bucket_bytes
-            partitioner = self._partitioner
-            identity = partitioner is identity_partitioner
-            if np is not None and not isinstance(keys, list):
-                keys = keys.tolist()
-            total = 0
-            tbytes = 0
-            pos = 0
-            for g, value in enumerate(values):
-                cnt = counts[g]
-                nb = sizes[g]
-                for key in keys[pos : pos + cnt]:
-                    r = key % num_reducers if identity else partitioner(
-                        key, num_reducers
-                    )
-                    if not 0 <= r < num_reducers:
-                        raise JobError(
-                            f"partitioner routed key {key!r} to invalid "
-                            f"reducer {r}"
-                        )
-                    buckets[r].append((key, value))
-                    bucket_bytes[r] += nb
-                pos += cnt
-                total += cnt
-                tbytes += cnt * nb
-            self.account_emissions(total, tbytes)
-            return
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
         if self._partitioner is identity_partitioner:

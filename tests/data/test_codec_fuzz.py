@@ -5,7 +5,9 @@ The PR-7 codec work rewrote the scalar decoders with bounded splits
 overrides.  These tests pin the byte-level contract: for *any* input
 line — valid, mutated, or random garbage — the fast path and a
 straightforward reference implementation must either return equal
-records or raise :class:`DFSError` with the identical message.
+records or raise :class:`DFSError` with the identical message.  The
+round-trip tests pin the other direction: encoding then decoding any
+record list returns it unchanged.
 """
 
 import pytest
@@ -228,3 +230,46 @@ class TestBulkEquivalence:
         seeded by an encode, never by decoded input text."""
         rid, rect = decode_rect("7,1.50,2.2500,3.0,4.000")
         assert encode_rect(rid, rect) == "7,1.5,2.25,3.0,4.0"
+
+
+# ----------------------------------------------------------------------
+# Round trip: the line form loses nothing
+# ----------------------------------------------------------------------
+class TestRoundTrip:
+    """``decode_lines(encode_lines(xs)) == xs`` for every codec.
+
+    With the typed-cache check of ``tests/joins/test_typed_golden.py``
+    this pins that a mapper handed a file's resident records sees exactly
+    what re-parsing the file's lines would have produced.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(rids, rects), max_size=10))
+    def test_rect_codec(self, records):
+        assert RECT_CODEC.decode_lines(RECT_CODEC.encode_lines(records)) == records
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.builds(TaggedRect, dataset_names, rids, rects, st.booleans()),
+            max_size=10,
+        )
+    )
+    def test_tagged_codec(self, records):
+        assert TAGGED_CODEC.decode_lines(TAGGED_CODEC.encode_lines(records)) == records
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.dictionaries(
+                slot_names, st.tuples(rids, rects), min_size=1, max_size=3
+            ),
+            max_size=6,
+        )
+    )
+    def test_tuple_codec(self, bindings_list):
+        records = [TupleRecord(b) for b in bindings_list]
+        decoded = TUPLE_CODEC.decode_lines(TUPLE_CODEC.encode_lines(records))
+        assert decoded == records
+        # TupleRecord equality compares lines; the bindings must survive too.
+        assert [r.bindings for r in decoded] == bindings_list

@@ -12,70 +12,35 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.common import derive_grid
-from repro.experiments.workloads import synthetic_chain
-from repro.joins.registry import ALGORITHMS, make_algorithm
-from repro.mapreduce.engine import Cluster
-from repro.query.predicates import Overlap
-from repro.query.query import Query
+from repro.joins.registry import ALGORITHMS
+
+from .golden import (
+    EXECUTORS,
+    SPILL_TELEMETRY,
+    assert_nonempty,
+    assert_same_output,
+    chain_workload,
+    run_join,
+    spill_counters,
+)
 
 N_PER_RELATION = 500
 SPACE_SIDE = 5_300.0
-SEED = 11
 
 #: Small enough that every algorithm's shuffle-heavy jobs spill several
 #: runs per map task; large enough the suite stays fast.
 BUDGET = 2_048
 
-OUTPUT_DIRS = {
-    "cascade": "two-way-cascade/output",
-    "all-rep": "all-replicate/output",
-    "c-rep": "controlled-replicate/output",
-    "c-rep-l": "controlled-replicate-limit/output",
-}
-
-EXECUTORS = [("serial", 1), ("thread", 2), ("process", 2)]
-
 
 @pytest.fixture(scope="module")
 def workload():
-    return synthetic_chain(
-        N_PER_RELATION, SPACE_SIDE, names=("R1", "R2", "R3"), seed=SEED
-    )
-
-
-def _strip_telemetry(counters_dict):
-    """Counters minus the telemetry a budgeted run is allowed (required,
-    even) to add."""
-    return {
-        group: {
-            name: value
-            for name, value in names.items()
-            if not name.startswith(("task_", "speculative_", "spill", "skipped_"))
-        }
-        for group, names in counters_dict.items()
-    }
-
-
-def _run(workload, algorithm_name, *, budget=None, executor="serial", workers=1):
-    query = Query.chain(["R1", "R2", "R3"], Overlap())
-    grid = derive_grid(workload.datasets)
-    cluster = Cluster(
-        executor=executor, num_workers=workers, memory_budget=budget
-    )
-    algorithm = make_algorithm(algorithm_name, query=query, d_max=workload.d_max)
-    result = algorithm.run(query, workload.datasets, grid, cluster)
-    snapshot = {
-        path: tuple(cluster.dfs.read_file(path))
-        for path in cluster.dfs.resolve(OUTPUT_DIRS[algorithm_name])
-    }
-    return snapshot, result
+    return chain_workload(N_PER_RELATION, SPACE_SIDE)
 
 
 @pytest.fixture(scope="module")
 def golden(workload):
     """One unbounded serial run per algorithm."""
-    return {name: _run(workload, name) for name in ALGORITHMS}
+    return {name: run_join(workload, name) for name in ALGORITHMS}
 
 
 @pytest.mark.parametrize("algorithm_name", ALGORITHMS)
@@ -83,37 +48,27 @@ def golden(workload):
 def test_spilling_changes_nothing(
     workload, golden, algorithm_name, executor, workers
 ):
-    ref_snapshot, ref = golden[algorithm_name]
-    snapshot, result = _run(
+    run = run_join(
         workload,
         algorithm_name,
-        budget=BUDGET,
+        memory_budget=BUDGET,
         executor=executor,
-        workers=workers,
+        num_workers=workers,
     )
     # The pressure was real: the budget forced spills.
-    eng = result.workflow.counters.engine
-    assert eng("spilled_records") > 0
-    assert eng("spill_files") > 0
-    # Part files: same names, byte-identical content.
-    assert snapshot == ref_snapshot
-    assert result.tuples == ref.tuples
+    spills = spill_counters(run)
+    assert spills.get("spilled_records", 0) > 0
+    assert spills.get("spill_files", 0) > 0
     # Canonical simulated seconds unchanged: spill I/O is charged to the
     # non-canonical spill_overhead_s bucket only.
-    assert result.stats.simulated_seconds == ref.stats.simulated_seconds
-    assert _strip_telemetry(result.workflow.counters.as_dict()) == _strip_telemetry(
-        ref.workflow.counters.as_dict()
-    )
-    overhead = sum(r.cost.spill_overhead_s for r in result.workflow.job_results)
+    assert_same_output(run, golden[algorithm_name], SPILL_TELEMETRY)
+    overhead = sum(r.cost.spill_overhead_s for r in run.result.workflow.job_results)
     assert overhead > 0.0
 
 
 @pytest.mark.parametrize("algorithm_name", ALGORITHMS)
 def test_golden_run_is_unspilled(golden, algorithm_name):
-    """Guard the guard: the unbounded reference must produce output and
-    carry no spill telemetry at all (fast path untouched)."""
-    snapshot, ref = golden[algorithm_name]
-    assert ref.tuples
-    assert any(lines for lines in snapshot.values())
-    eng_counters = ref.workflow.counters.as_dict()["engine"]
-    assert not any(k.startswith("spill") for k in eng_counters)
+    """The unbounded reference must produce output and carry no spill
+    telemetry at all (fast path untouched)."""
+    assert_nonempty(golden[algorithm_name])
+    assert not spill_counters(golden[algorithm_name])

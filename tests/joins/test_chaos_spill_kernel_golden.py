@@ -16,25 +16,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.common import derive_grid
-from repro.experiments.workloads import synthetic_chain
-from repro.joins.registry import make_algorithm
-from repro.kernels import numpy_or_none
-from repro.mapreduce.engine import Cluster
 from repro.mapreduce.faults import FaultPlan, RetryPolicy
-from repro.query.predicates import Overlap
-from repro.query.query import Query
 
-pytestmark = pytest.mark.skipif(
-    numpy_or_none() is None, reason="numpy not available"
-)
+from .golden import assert_same_output, chain_workload, run_join, spill_counters
 
 N_PER_RELATION = 500
 SPACE_SIDE = 5_300.0
-SEED = 11
 #: forces several spill runs per map task at this workload size
 BUDGET = 2_048
-OUTPUT_DIR = "controlled-replicate/output"
 
 EXECUTORS = [("thread", 4), ("process", 4)]
 
@@ -62,48 +51,13 @@ _RECOVERY_PREFIXES = (
 
 @pytest.fixture(scope="module")
 def workload():
-    return synthetic_chain(
-        N_PER_RELATION, SPACE_SIDE, names=("R1", "R2", "R3"), seed=SEED
+    return chain_workload(N_PER_RELATION, SPACE_SIDE)
+
+
+def _run(workload, **cluster_kwargs):
+    return run_join(
+        workload, "c-rep", kernel="numpy", memory_budget=BUDGET, **cluster_kwargs
     )
-
-
-def _strip_telemetry(counters_dict):
-    return {
-        group: {
-            name: value
-            for name, value in names.items()
-            if not name.startswith(_RECOVERY_PREFIXES)
-        }
-        for group, names in counters_dict.items()
-    }
-
-
-def _spill_counters(result):
-    eng = result.workflow.counters.as_dict()["engine"]
-    return {k: v for k, v in eng.items() if k.startswith("spill")}
-
-
-def _run(workload, *, plan=None, retry=None, executor="serial", workers=1):
-    query = Query.chain(["R1", "R2", "R3"], Overlap())
-    grid = derive_grid(workload.datasets)
-    kwargs = {}
-    if retry is not None:
-        kwargs["retry"] = retry
-    cluster = Cluster(
-        executor=executor,
-        num_workers=workers,
-        kernel="numpy",
-        memory_budget=BUDGET,
-        fault_plan=plan,
-        **kwargs,
-    )
-    algorithm = make_algorithm("c-rep", query=query, d_max=workload.d_max)
-    result = algorithm.run(query, workload.datasets, grid, cluster)
-    snapshot = {
-        path: tuple(cluster.dfs.read_file(path))
-        for path in cluster.dfs.resolve(OUTPUT_DIR)
-    }
-    return snapshot, result
 
 
 @pytest.fixture(scope="module")
@@ -117,30 +71,22 @@ def golden(workload):
 def test_chaos_spilled_numpy_leg_matches_clean_reference(
     workload, golden, executor, workers
 ):
-    ref_snapshot, ref = golden
-    snapshot, result = _run(
+    run = _run(
         workload,
-        plan=CHAOS,
+        fault_plan=CHAOS,
         retry=RetryPolicy(max_attempts=3),
         executor=executor,
-        workers=workers,
+        num_workers=workers,
     )
-    # Part files and join output: byte-identical.
-    assert snapshot == ref_snapshot
-    assert result.tuples == ref.tuples
-    # Canonical simulated time unmoved: retries and re-executions are
-    # charged to the non-canonical overhead terms.
-    assert result.stats.simulated_seconds == ref.stats.simulated_seconds
-    # Spill telemetry identical: worker loss must not shift spill points.
-    assert _spill_counters(result) == _spill_counters(ref)
-    assert _spill_counters(ref).get("spilled_records", 0) > 0
-    # All other counters identical modulo the recovery telemetry.
-    assert _strip_telemetry(result.workflow.counters.as_dict()) == _strip_telemetry(
-        ref.workflow.counters.as_dict()
-    )
+    # Part files, join output, canonical simulated time (retries and
+    # re-executions are charged to the non-canonical overhead terms)
+    # and every counter but the recovery telemetry — spill counters
+    # included: worker loss must not shift spill points.
+    assert_same_output(run, golden, _RECOVERY_PREFIXES)
+    assert spill_counters(golden).get("spilled_records", 0) > 0
     # ... and the chaos really happened: the worker died and its
     # committed map outputs were re-executed.
-    eng = result.workflow.counters.engine
+    eng = run.result.workflow.counters.engine
     assert eng("worker_failures") >= 1
     assert eng("map_output_lost") >= 1
     assert eng("tasks_reexecuted") >= 1
@@ -148,10 +94,8 @@ def test_chaos_spilled_numpy_leg_matches_clean_reference(
 
 
 def test_reference_spills_but_carries_no_recovery_telemetry(golden):
-    _, ref = golden
-    assert ref.tuples
-    assert _spill_counters(ref).get("spilled_records", 0) > 0
-    eng_counters = ref.workflow.counters.as_dict()["engine"]
+    assert golden.result.tuples
+    assert spill_counters(golden).get("spilled_records", 0) > 0
     assert not any(
-        k.startswith(_RECOVERY_PREFIXES) for k in eng_counters
+        k.startswith(_RECOVERY_PREFIXES) for k in golden.counters["engine"]
     )

@@ -1,4 +1,4 @@
-"""Golden equivalence of the columnar kernel path (PR 6 tentpole).
+"""Golden equivalence of the columnar kernel path.
 
 The numpy kernel replaces per-record probes and predicate loops with
 batched array operations; the engine contract is that nothing outside
@@ -10,87 +10,33 @@ The reference for each algorithm is one forced ``kernel="python"``
 serial run on a seeded Table-2-shaped workload; the numpy kernel is
 then checked on the serial, thread and process executors against that
 single golden snapshot — a 4 algorithms x 3 executors x 2 kernels
-matrix.  When numpy is unavailable the numpy leg degrades to the scalar
-fallback, which makes every assertion trivially true, so the suite
-skips instead of pretending to cover it.
+matrix.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.common import derive_grid
-from repro.experiments.workloads import synthetic_chain
-from repro.joins.registry import ALGORITHMS, make_algorithm
-from repro.kernels import numpy_or_none
-from repro.mapreduce.engine import Cluster
-from repro.query.predicates import Overlap
-from repro.query.query import Query
+from repro.joins.registry import ALGORITHMS
 
-pytestmark = pytest.mark.skipif(
-    numpy_or_none() is None, reason="numpy not available"
-)
+from .golden import EXECUTORS, assert_nonempty, assert_same_output, chain_workload, run_join
 
 #: Reduced Table-2 shape: same generator/space/seed family as the
 #: benchmarks, small enough to run 4 algorithms x 4 configurations.
 N_PER_RELATION = 700
 SPACE_SIDE = 6_300.0
-SEED = 11
-
-#: Output directory of each algorithm, by registry name.
-OUTPUT_DIRS = {
-    "cascade": "two-way-cascade/output",
-    "all-rep": "all-replicate/output",
-    "c-rep": "controlled-replicate/output",
-    "c-rep-l": "controlled-replicate-limit/output",
-}
-
-EXECUTORS = [("serial", 1), ("thread", 2), ("process", 2)]
 
 
 @pytest.fixture(scope="module")
 def workload():
-    return synthetic_chain(
-        N_PER_RELATION, SPACE_SIDE, names=("R1", "R2", "R3"), seed=SEED
-    )
-
-
-def _run(workload, algorithm_name, *, kernel, executor="serial", workers=1):
-    """One full join run on a fresh cluster; returns (snapshot, stats, tuples)."""
-    query = Query.chain(["R1", "R2", "R3"], Overlap())
-    grid = derive_grid(workload.datasets)
-    cluster = Cluster(executor=executor, num_workers=workers, kernel=kernel)
-    algorithm = make_algorithm(
-        algorithm_name, query=query, d_max=workload.d_max
-    )
-    result = algorithm.run(query, workload.datasets, grid, cluster)
-    snapshot = {
-        path: tuple(cluster.dfs.read_file(path))
-        for path in cluster.dfs.resolve(OUTPUT_DIRS[algorithm_name])
-    }
-    return snapshot, result.stats, result.tuples
-
-
-def _counters(stats):
-    """Every JoinStats field that must be executor/kernel independent
-    (wall_clock_seconds is real time and legitimately varies)."""
-    return {
-        "simulated_seconds": stats.simulated_seconds,
-        "shuffled_records": stats.shuffled_records,
-        "rectangles_marked": stats.rectangles_marked,
-        "rectangles_after_replication": stats.rectangles_after_replication,
-        "output_tuples": stats.output_tuples,
-        "job_seconds": stats.job_seconds,
-    }
+    return chain_workload(N_PER_RELATION, SPACE_SIDE)
 
 
 @pytest.fixture(scope="module")
 def golden(workload):
     """Scalar-kernel serial run per algorithm: the reference the numpy
     kernel must reproduce exactly."""
-    return {
-        name: _run(workload, name, kernel="python") for name in ALGORITHMS
-    }
+    return {name: run_join(workload, name, kernel="python") for name in ALGORITHMS}
 
 
 @pytest.mark.parametrize("algorithm_name", ALGORITHMS)
@@ -98,42 +44,27 @@ def golden(workload):
 def test_numpy_kernel_matches_python_kernel(
     workload, golden, algorithm_name, executor, workers
 ):
-    ref_snapshot, ref_stats, ref_tuples = golden[algorithm_name]
-    snapshot, stats, tuples = _run(
-        workload,
-        algorithm_name,
-        kernel="numpy",
-        executor=executor,
-        workers=workers,
+    run = run_join(
+        workload, algorithm_name, kernel="numpy", executor=executor, num_workers=workers
     )
-    assert tuples == ref_tuples
-    # Part files: same names, byte-identical content.
-    assert snapshot == ref_snapshot
-    assert _counters(stats) == _counters(ref_stats)
+    assert_same_output(run, golden[algorithm_name])
 
 
 @pytest.mark.parametrize("algorithm_name", ALGORITHMS)
 def test_python_kernel_stable_across_executors(workload, golden, algorithm_name):
     """The scalar kernel itself must stay executor independent — this
     pins the other half of the matrix to the same golden snapshot."""
-    ref_snapshot, ref_stats, ref_tuples = golden[algorithm_name]
     for executor, workers in EXECUTORS[1:]:
-        snapshot, stats, tuples = _run(
+        run = run_join(
             workload,
             algorithm_name,
             kernel="python",
             executor=executor,
-            workers=workers,
+            num_workers=workers,
         )
-        assert tuples == ref_tuples
-        assert snapshot == ref_snapshot
-        assert _counters(stats) == _counters(ref_stats)
+        assert_same_output(run, golden[algorithm_name])
 
 
 @pytest.mark.parametrize("algorithm_name", ALGORITHMS)
 def test_golden_output_is_nonempty(golden, algorithm_name):
-    """Guard the guard: an empty snapshot would make the equivalence
-    assertions vacuously true."""
-    snapshot, __, tuples = golden[algorithm_name]
-    assert tuples
-    assert any(lines for lines in snapshot.values())
+    assert_nonempty(golden[algorithm_name])

@@ -1,114 +1,76 @@
-"""Golden equivalence of the typed record path (PR 2 tentpole).
+"""Golden equivalence of the typed record path.
 
-The typed path lets records cross the shuffle and job boundaries as
-Python objects; the seed codec path (``Cluster(typed_io=False)``)
-re-parses every record from its encoded line on every read, exactly as
-the string-era engine did.  Both must be indistinguishable from the
-outside: byte-identical final DFS output and identical cost-model
-counters, for every algorithm and every executor back-end.
-
-The reference for each algorithm is one seed-path serial run on a
-seeded Table-2-shaped workload (Q2 chain over three relations, reduced
-n); the typed path is then checked on the serial, thread and process
-executors against that single golden snapshot.
+Records cross job boundaries as Python objects: a codec-written DFS
+file keeps its records resident, and a line file is decoded at most
+once per version and cached.  A mapper reading such a file therefore
+never parses its lines — so the contract is that the resident records
+are exactly what decoding the file's lines yields.  This suite checks
+that for every typed-cached file a full join leaves behind (inputs,
+intermediates and outputs), for every algorithm and executor.
+``tests/data/test_codec_fuzz.py`` adds the per-codec round-trip
+property; together they make the typed path indistinguishable from
+re-parsing every file on every read.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.common import derive_grid
-from repro.experiments.workloads import synthetic_chain
-from repro.joins.registry import ALGORITHMS, make_algorithm
-from repro.mapreduce.engine import Cluster
-from repro.query.predicates import Overlap
-from repro.query.query import Query
+from repro.data.io import CODECS, TupleRecord
+from repro.joins.registry import ALGORITHMS
 
-#: Reduced Table-2 shape: same generator/space/seed family as the
-#: benchmarks, small enough to run 4 algorithms x 4 configurations.
+from .golden import EXECUTORS, assert_nonempty, chain_workload, run_join
+
 N_PER_RELATION = 700
 SPACE_SIDE = 6_300.0
-SEED = 11
 
-#: Output directory of each algorithm, by registry name.
-OUTPUT_DIRS = {
-    "cascade": "two-way-cascade/output",
-    "all-rep": "all-replicate/output",
-    "c-rep": "controlled-replicate/output",
-    "c-rep-l": "controlled-replicate-limit/output",
+#: Codecs whose files each algorithm must leave typed-cached.
+EXPECTED_CODECS = {
+    "cascade": {"rect", "tuple"},
+    "all-rep": {"rect"},
+    "c-rep": {"rect", "tagged"},
+    "c-rep-l": {"rect", "tagged"},
 }
-
-EXECUTORS = [("serial", 1), ("thread", 2), ("process", 2)]
 
 
 @pytest.fixture(scope="module")
 def workload():
-    return synthetic_chain(
-        N_PER_RELATION, SPACE_SIDE, names=("R1", "R2", "R3"), seed=SEED
-    )
-
-
-def _run(workload, algorithm_name, *, typed_io, executor="serial", workers=1):
-    """One full join run on a fresh cluster; returns (snapshot, stats, tuples)."""
-    query = Query.chain(["R1", "R2", "R3"], Overlap())
-    grid = derive_grid(workload.datasets)
-    cluster = Cluster(executor=executor, num_workers=workers, typed_io=typed_io)
-    algorithm = make_algorithm(
-        algorithm_name, query=query, d_max=workload.d_max
-    )
-    result = algorithm.run(query, workload.datasets, grid, cluster)
-    snapshot = {
-        path: tuple(cluster.dfs.read_file(path))
-        for path in cluster.dfs.resolve(OUTPUT_DIRS[algorithm_name])
-    }
-    return snapshot, result.stats, result.tuples
-
-
-def _counters(stats):
-    """Every JoinStats field that must be executor/path independent
-    (wall_clock_seconds is real time and legitimately varies)."""
-    return {
-        "simulated_seconds": stats.simulated_seconds,
-        "shuffled_records": stats.shuffled_records,
-        "rectangles_marked": stats.rectangles_marked,
-        "rectangles_after_replication": stats.rectangles_after_replication,
-        "output_tuples": stats.output_tuples,
-        "job_seconds": stats.job_seconds,
-    }
+    return chain_workload(N_PER_RELATION, SPACE_SIDE)
 
 
 @pytest.fixture(scope="module")
 def golden(workload):
-    """Seed-path serial run per algorithm: the 'before' the typed path
-    must reproduce exactly."""
-    return {
-        name: _run(workload, name, typed_io=False) for name in ALGORITHMS
-    }
+    return {name: run_join(workload, name) for name in ALGORITHMS}
+
+
+def _comparable(records):
+    # TupleRecord equality compares the carried line only; the parsed
+    # bindings must match too.
+    return [
+        (r.line, r.bindings) if isinstance(r, TupleRecord) else r for r in records
+    ]
 
 
 @pytest.mark.parametrize("algorithm_name", ALGORITHMS)
 @pytest.mark.parametrize(("executor", "workers"), EXECUTORS)
-def test_typed_path_matches_seed_codec_path(
-    workload, golden, algorithm_name, executor, workers
-):
-    ref_snapshot, ref_stats, ref_tuples = golden[algorithm_name]
-    snapshot, stats, tuples = _run(
-        workload,
-        algorithm_name,
-        typed_io=True,
-        executor=executor,
-        workers=workers,
-    )
-    assert tuples == ref_tuples
-    # Part files: same names, byte-identical content.
-    assert snapshot == ref_snapshot
-    assert _counters(stats) == _counters(ref_stats)
+def test_typed_path_matches_seed_codec_path(workload, algorithm_name, executor, workers):
+    run = run_join(workload, algorithm_name, executor=executor, num_workers=workers)
+    dfs = run.dfs
+    files = list(dfs.resolve("input"))
+    for job in run.result.workflow.job_results:
+        files.extend(dfs.resolve(job.output_path))
+    seen = set()
+    for f in files:
+        for codec in CODECS.values():
+            records = dfs.typed_records(f, codec)
+            if records is None:
+                continue
+            seen.add(codec.name)
+            decoded = codec.decode_lines(dfs.read_file(f))
+            assert _comparable(decoded) == _comparable(records), f
+    assert seen == EXPECTED_CODECS[algorithm_name]
 
 
 @pytest.mark.parametrize("algorithm_name", ALGORITHMS)
 def test_golden_output_is_nonempty(golden, algorithm_name):
-    """Guard the guard: an empty snapshot would make the equivalence
-    assertions vacuously true."""
-    snapshot, __, tuples = golden[algorithm_name]
-    assert tuples
-    assert any(lines for lines in snapshot.values())
+    assert_nonempty(golden[algorithm_name])

@@ -9,7 +9,7 @@ a mix of continuous values and exact grid-boundary/partner-edge values,
 extents may be zero, and distances cover ``d = 0`` and ``d > 0``.
 """
 
-import pytest
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +18,6 @@ from repro.grid.partitioning import GridPartitioning
 from repro.index.grid_index import GridIndex
 from repro.joins.local import LocalJoiner
 from repro.joins.sweep import sweep_pairs
-from repro.kernels import numpy_or_none
 from repro.kernels.batch import RectBatch
 from repro.kernels.predicates import pair_mask, triple_mask
 from repro.kernels.sweep import sweep_pairs_batch
@@ -33,9 +32,6 @@ from repro.kernels.transforms import (
 )
 from repro.query.predicates import Contains, Overlap, Range
 from repro.query.query import Query
-
-np = numpy_or_none()
-pytestmark = pytest.mark.skipif(np is None, reason="numpy not available")
 
 SPACE = 1000.0
 #: exact cell boundaries of the 4x4 test grid plus its outside — drawing
@@ -127,7 +123,7 @@ def test_probe_frontier_matches_per_query_scalar_probes(pairs, queries, d):
     vec = GridIndex(pairs=pairs, kernel="numpy")
     if getattr(vec, "batch", None) is None:
         return  # empty index: frontier path is never taken by the joiner
-    qbatch = RectBatch.from_pairs(np, queries)
+    qbatch = RectBatch.from_pairs(queries)
     parents, entries = vec.probe_frontier(
         qbatch, np.arange(len(queries), dtype=np.int64), d
     )
@@ -152,19 +148,19 @@ def test_probe_frontier_matches_per_query_scalar_probes(pairs, queries, d):
 @given(bag_strategy(max_size=30))
 def test_grid_transforms_match_scalar_methods(pairs):
     grid = make_grid()
-    batch = RectBatch.from_pairs(np, pairs)
+    batch = RectBatch.from_pairs(pairs)
     rects = [r for __, r in pairs]
     xs = np.asarray([r.x for r in rects], dtype=np.float64)
     ys = np.asarray([r.y for r in rects], dtype=np.float64)
 
-    assert cols_of_x(np, grid, xs).tolist() == [grid.col_of_x(r.x) for r in rects]
-    assert rows_of_y(np, grid, ys).tolist() == [grid.row_of_y(r.y) for r in rects]
-    assert cell_ids_of_starts(np, grid, batch).tolist() == [
+    assert cols_of_x(grid, xs).tolist() == [grid.col_of_x(r.x) for r in rects]
+    assert rows_of_y(grid, ys).tolist() == [grid.row_of_y(r.y) for r in rects]
+    assert cell_ids_of_starts(grid, batch).tolist() == [
         grid.cell_id_of(r) for r in rects
     ]
-    lo, hi = col_ranges(np, grid, batch)
+    lo, hi = col_ranges(grid, batch)
     assert list(zip(lo.tolist(), hi.tolist())) == [grid.col_range(r) for r in rects]
-    lo, hi = row_ranges(np, grid, batch)
+    lo, hi = row_ranges(grid, batch)
     assert list(zip(lo.tolist(), hi.tolist())) == [grid.row_range(r) for r in rects]
 
 
@@ -178,12 +174,12 @@ def test_grid_gap_and_quadrant_transforms_match_scalar(pairs, cell_id, d):
     if not pairs:
         return
     cell = grid.cell_by_id(cell_id)
-    batch = RectBatch.from_pairs(np, pairs)
-    gaps = min_gaps_to_other_cell(np, grid, batch, cell)
+    batch = RectBatch.from_pairs(pairs)
+    gaps = min_gaps_to_other_cell(grid, batch, cell)
     assert gaps.tolist() == [
         grid.min_gap_to_other_cell(r, cell) for __, r in pairs
     ]
-    flat, counts = quadrant_cell_lists(np, grid, batch, d=d)
+    flat, counts = quadrant_cell_lists(grid, batch, d=d)
     got, at = [], 0
     for c in counts:
         got.append(flat[at : at + c])
@@ -216,16 +212,16 @@ def test_masks_match_scalar_holds_with(pairs, other, d, pred_name, left_side):
     query = Query.chain(["R1", "R2"], predicate)
     triple = query.triples[0]
     slot = triple.left if left_side else triple.right
-    batch = RectBatch.from_pairs(np, pairs)
+    batch = RectBatch.from_pairs(pairs)
     idx = np.arange(len(pairs), dtype=np.int64)
 
-    mask = triple_mask(np, triple, slot, batch, idx, other)
+    mask = triple_mask(triple, slot, batch, idx, other)
     assert mask.tolist() == [
         triple.holds_with(slot, r, other) for __, r in pairs
     ]
 
-    obatch = RectBatch.from_pairs(np, [(0, other)] * len(pairs))
-    pmask = pair_mask(np, triple, slot, batch, idx, obatch, idx)
+    obatch = RectBatch.from_pairs([(0, other)] * len(pairs))
+    pmask = pair_mask(triple, slot, batch, idx, obatch, idx)
     assert pmask.tolist() == mask.tolist()
 
 

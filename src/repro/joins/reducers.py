@@ -79,19 +79,16 @@ def make_local_join_reducer(
             pos = fr.positions
             xs = np.maximum.reduce([fr.batches[s].x[pos[s]] for s in fr.slots])
             ys = np.minimum.reduce([fr.batches[s].y[pos[s]] for s in fr.slots])
-            owners = (
-                _kt.rows_of_y(grid, ys) * grid.cols
-                + _kt.cols_of_x(grid, xs)
-            ).tolist()
-            rid_cols = [
-                [fr.bags[s][p][0] for p in pos[s].tolist()] for s in slot_order
-            ]
-            lines = [
-                "\t".join(str(col[i]) for col in rid_cols)
-                for i, owner in enumerate(owners)
-                if owner == cell_id
-            ]
-            if lines:
+            owners = _kt.rows_of_y(grid, ys) * grid.cols + _kt.cols_of_x(grid, xs)
+            # Keep this cell's rows first, then format only those, in
+            # frontier order.
+            kept = np.flatnonzero(owners == cell_id)
+            if kept.size:
+                rid_cols = [
+                    [fr.bags[s][p][0] for p in pos[s][kept].tolist()]
+                    for s in slot_order
+                ]
+                lines = ["\t".join(map(str, row)) for row in zip(*rid_cols)]
                 ctx.counter(JOIN_COUNTERS, CNT_OUTPUT_TUPLES, len(lines))
                 ctx.emit_all(lines)
             return

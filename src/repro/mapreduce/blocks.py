@@ -36,7 +36,10 @@ layers before it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.errors import DFSError
 from repro.mapreduce.placement import (
@@ -56,10 +59,34 @@ __all__ = [
 ]
 
 # ----------------------------------------------------------------------
-# CRC32C (Castagnoli) — pure python, no external deps.  zlib.crc32 is
-# plain CRC32 (IEEE); HDFS checksums blocks with CRC32C, so we match.
+# CRC32C (Castagnoli), table-driven and vectorized with numpy.  zlib.crc32
+# is plain CRC32 (IEEE); HDFS checksums blocks with CRC32C, so we match.
+#
+# The CRC register update is linear over GF(2), so with a zero initial
+# register the CRC of a payload is the XOR of every byte's contribution,
+# and a byte's contribution depends only on its value and on how many
+# bytes follow it.  The kernel therefore
+#
+# 1. XORs the initial register into the first 4 payload bytes (for a
+#    reflected CRC, starting from register ``s`` equals starting from 0
+#    with ``s`` little-endian XORed into the leading bytes);
+# 2. left-pads the payload with zero bytes (a zero register stays zero
+#    through zeros) to whole chunks of ``_CRC_CHUNK`` bytes;
+# 3. gathers each byte's contribution from a per-position table and
+#    XOR-reduces each chunk to one register state;
+# 4. folds groups of ``_CRC_FOLD`` consecutive states the same way: a
+#    state is 4 bytes, and "advance by k zero bytes" is linear too, so
+#    per-position tables advance each state past the chunks that follow
+#    it inside its group.  Every fold level is ``_CRC_FOLD`` times
+#    coarser, until one state remains.
 # ----------------------------------------------------------------------
 _CRC32C_POLY = 0x82F63B78  # Castagnoli polynomial, reversed form
+#: payload bytes per chunk state
+_CRC_CHUNK = 64
+#: states per fold group
+_CRC_FOLD = 64
+#: shorter payloads run the byte loop: numpy's per-call overhead wins
+_CRC_SCALAR_BELOW = 256
 
 
 def _build_table() -> list[int]:
@@ -73,6 +100,73 @@ def _build_table() -> list[int]:
 
 
 _CRC32C_TABLE = _build_table()
+_CRC_TABLE_NP = np.array(_CRC32C_TABLE, dtype=np.uint32)
+
+
+def _zero_byte(state):
+    """Advance register states (a uint32 array) by one zero byte."""
+    return _CRC_TABLE_NP[state & 0xFF] ^ (state >> 8)
+
+
+def _apply(op, state):
+    """Apply a linear register map, given as 4x256 per-byte tables, to
+    register states; applied to another map's tables it composes the
+    two maps."""
+    return (
+        op[0][state & 0xFF]
+        ^ op[1][(state >> 8) & 0xFF]
+        ^ op[2][(state >> 16) & 0xFF]
+        ^ op[3][state >> 24]
+    )
+
+
+#: the identity map: byte ``b`` of value ``v`` is the state ``v << 8b``
+_IDENTITY = np.arange(256, dtype=np.uint32)[None, :] << (
+    8 * np.arange(4, dtype=np.uint32)[:, None]
+)
+
+
+def _advance(nbytes: int):
+    """The 4x256 tables advancing a state by ``nbytes`` zero bytes."""
+    result = _IDENTITY
+    step = _zero_byte(_IDENTITY)
+    while nbytes:
+        if nbytes & 1:
+            result = _apply(step, result)
+        step = _apply(step, step)
+        nbytes >>= 1
+    return result
+
+
+def _chunk_tables():
+    """``(_CRC_CHUNK, 256)``: state of byte value ``v`` at chunk position
+    ``k``, advanced past the ``_CRC_CHUNK - 1 - k`` bytes after it."""
+    tables = np.empty((_CRC_CHUNK, 256), dtype=np.uint32)
+    cur = _CRC_TABLE_NP
+    for k in range(_CRC_CHUNK - 1, -1, -1):
+        tables[k] = cur
+        cur = _zero_byte(cur)
+    return tables
+
+
+_CRC_CHUNK_TABLES = _chunk_tables()
+_CHUNK_POS = np.arange(_CRC_CHUNK)[None, :]
+_FOLD_POS = np.arange(_CRC_FOLD)[:, None]
+_STATE_BYTE = np.arange(4)[None, :]
+
+
+@functools.cache
+def _fold_tables(level: int):
+    """``(_CRC_FOLD, 4, 256)`` tables of fold ``level``: group position
+    ``j`` advances a state past the ``_CRC_FOLD - 1 - j`` states after
+    it, each covering ``_CRC_CHUNK * _CRC_FOLD**level`` payload bytes."""
+    step = _advance(_CRC_CHUNK * _CRC_FOLD**level)
+    tables = np.empty((_CRC_FOLD, 4, 256), dtype=np.uint32)
+    cur = _IDENTITY
+    for j in range(_CRC_FOLD - 1, -1, -1):
+        tables[j] = cur
+        cur = _apply(step, cur)
+    return tables
 
 
 def crc32c(data: bytes, crc: int = 0) -> int:
@@ -80,11 +174,34 @@ def crc32c(data: bytes, crc: int = 0) -> int:
 
     Standard test vector: ``crc32c(b"123456789") == 0xE3069283``.
     """
-    crc ^= 0xFFFFFFFF
-    table = _CRC32C_TABLE
-    for byte in data:
-        crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8)
-    return crc ^ 0xFFFFFFFF
+    n = len(data)
+    if n < _CRC_SCALAR_BELOW:
+        crc ^= 0xFFFFFFFF
+        table = _CRC32C_TABLE
+        for byte in data:
+            crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8)
+        return crc ^ 0xFFFFFFFF
+    pad = -n % _CRC_CHUNK
+    buf = np.zeros(pad + n, dtype=np.uint8)
+    buf[pad:] = np.frombuffer(data, dtype=np.uint8)
+    buf[pad : pad + 4] ^= np.frombuffer(
+        (crc ^ 0xFFFFFFFF).to_bytes(4, "little"), dtype=np.uint8
+    )
+    states = np.bitwise_xor.reduce(
+        _CRC_CHUNK_TABLES[_CHUNK_POS, buf.reshape(-1, _CRC_CHUNK)], axis=1
+    )
+    level = 0
+    while len(states) > 1:
+        gpad = -len(states) % _CRC_FOLD
+        if gpad:
+            states = np.concatenate((np.zeros(gpad, dtype=np.uint32), states))
+        # a state's 4 little-endian bytes index the 4 per-byte tables
+        groups = states.astype("<u4", copy=False).view(np.uint8)
+        groups = groups.reshape(-1, _CRC_FOLD, 4)
+        contrib = _fold_tables(level)[_FOLD_POS, _STATE_BYTE, groups]
+        states = np.bitwise_xor.reduce(contrib.reshape(len(groups), -1), axis=1)
+        level += 1
+    return int(states[0]) ^ 0xFFFFFFFF
 
 
 def block_payload(lines: list[str]) -> bytes:
@@ -250,6 +367,10 @@ class BlockPlane:
         self._drop_replicas(path)
         blocks: list[BlockMeta] = []
         active = self._active_workers()
+        # Deterministic placement: first replica offset from a CRC of
+        # the path (process-salted hash() would break replays) plus the
+        # block index, subsequent replicas walk the active list.
+        path_crc = crc32c(path.encode("utf-8")) if active else 0
         for index, (start, chunk) in enumerate(
             chunk_blocks(lines, self.block_records)
         ):
@@ -262,10 +383,7 @@ class BlockPlane:
                 crc=crc32c(payload),
             )
             if active:
-                # Deterministic placement: first replica offset from a
-                # CRC of the path (process-salted hash() would break
-                # replays), subsequent replicas walk the active list.
-                offset = (crc32c(path.encode("utf-8")) + index) % len(active)
+                offset = (path_crc + index) % len(active)
                 for k in range(min(self.replication, len(active))):
                     worker = active[(offset + k) % len(active)]
                     self.dfs.write_side_file(

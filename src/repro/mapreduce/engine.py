@@ -23,8 +23,8 @@ With a ``memory_budget`` the engine runs under *memory governance*
 (Hadoop's ``io.sort.mb``): each map task bounds its buffered shuffle
 bytes — measured by the job's shuffle codec, the same sizing the
 canonical ``MAP_OUTPUT_BYTES`` counter charges — and spills sorted runs
-to the DFS when the budget is exceeded; the reduce side then k-way
-merges runs instead of sorting one resident bucket.  Spill points are a
+to the DFS when the budget is exceeded; the reduce side then merges
+the sorted runs instead of sorting one resident bucket.  Spill points are a
 pure function of the emission sequence and the merge key reproduces the
 unbounded stable sort exactly (see :mod:`repro.mapreduce.spill`), so a
 budgeted run writes byte-identical part files and differs only in the
@@ -170,10 +170,12 @@ class _MapPhase:
     identical on both paths.  ``memory_budget`` (bytes, ``None`` =
     unbounded) switches emission buffering to the spilling context.
     ``use_batch`` routes the whole split through ``job.batch_mapper``
-    (columnar fast path); the engine sets it only when the job declares
-    one and no per-record machinery (faults, retries) is live.  Under a
-    memory budget the batch mapper still runs, but its emissions are
-    replayed record by record so spill points are unchanged.
+    (columnar fast path); the engine sets it whenever the job declares
+    one and the kernel is ``numpy``, under retry, fault plans, a memory
+    budget and replication alike.  Only an attempt that must skip or
+    poison individual records runs the scalar ``mapper`` (see
+    :func:`_map_task_body`); a budgeted context spills batch emissions
+    at the same points as the scalar loop.
     ``split_batches`` optionally carries one pre-decoded
     :class:`~repro.kernels.batch.RectBatch` slice per split.
     ``profile`` wraps the task body in cProfile (the cluster's
@@ -356,16 +358,30 @@ def _map_task_body(
     any genuine mapper failure, so the recovery layer can locate the
     record either way.  Failures keep the seed's message shape
     (``BadRecordError`` is a :class:`JobError`).
+
+    An attempt carrying skips or poison runs the scalar loop.  When the
+    batch mapper raises, the same attempt reruns the split through the
+    scalar ``mapper`` on a fresh context (partial buckets, spill runs
+    and counters discarded), which raises the located
+    :class:`BadRecordError` skipping mode needs.  A scalar rerun that
+    succeeds means the two mappers disagree: that is a loud
+    :class:`JobError`, never a silently used fallback.
     """
     t_start = time.perf_counter()
     job = phase.job
-    split = phase.splits[index]
-    counters = Counters()
+    if phase.use_batch and job.combiner is None and not skips and not poison:
+        return _batch_map(phase, index, t_start)
+    return _scalar_map(phase, index, skips, poison, t_start)
+
+
+def _map_context(phase: _MapPhase, counters: Counters) -> MapContext:
+    """A fresh emission context for one map task attempt."""
+    job = phase.job
     budget = phase.memory_budget
     if budget is not None and (job.reducer is not None or job.combiner is not None):
         # Map-only jobs have no sort buffer to bound (their emissions
         # stream straight to partitioned output), like Hadoop.
-        ctx: MapContext = SpillingMapContext(
+        return SpillingMapContext(
             counters,
             job.num_reducers,
             job.partitioner,
@@ -373,62 +389,79 @@ def _map_task_body(
             budget=budget,
             sort_key=job.sort_key,
         )
-    else:
-        ctx = MapContext(
-            counters,
-            job.num_reducers,
-            job.partitioner,
-            job.shuffle_codec,
+    return MapContext(
+        counters,
+        job.num_reducers,
+        job.partitioner,
+        job.shuffle_codec,
+    )
+
+
+def _task_result(
+    ctx: MapContext, counters: Counters, nbytes: int, t_start: float
+) -> _MapTaskResult:
+    """Package a finished attempt's context as the task result."""
+    spill_runs = spill_base = None
+    if isinstance(ctx, SpillingMapContext):
+        spill_runs = ctx.spill_runs
+        spill_base = ctx.spill_base
+    return _MapTaskResult(
+        buckets=ctx.buckets,
+        bucket_bytes=ctx.bucket_bytes,
+        counters=counters,
+        stats=TaskStats(
+            input_records=ctx.input_records,
+            input_bytes=nbytes,
+            output_records=ctx.output_records,
+            output_bytes=ctx.output_bytes,
+            compute_ops=ctx.compute_ops,
+        ),
+        t_start=t_start,
+        t_end=time.perf_counter(),
+        spill_runs=spill_runs,
+        spill_base=spill_base,
+        segments=ctx.segments,
+    )
+
+
+def _batch_map(phase: _MapPhase, index: int, t_start: float) -> _MapTaskResult:
+    """The whole split through ``job.batch_mapper`` in one call."""
+    job = phase.job
+    split = phase.splits[index]
+    counters = Counters()
+    ctx = _map_context(phase, counters)
+    batch = phase.split_batches[index] if phase.split_batches is not None else None
+    try:
+        job.batch_mapper(split, ctx, batch)
+    except Exception as exc:  # noqa: BLE001 - rerun scalar to locate it
+        _scalar_map(phase, index, (), (), t_start)  # raises if it agrees
+        detail = " ".join(str(exc).split())
+        raise JobError(
+            f"batch mapper of job {job.name!r} failed on map task {index} "
+            f"where the scalar mapper succeeds: {type(exc).__name__}: {detail}"
+        ) from exc
+    if ctx.segments is not None and any(ctx.buckets):
+        raise JobError(
+            f"batch mapper of job {job.name!r} mixed emit() and "
+            f"emit_batch() in one task"
         )
-    batch_mapper = job.batch_mapper
-    if (
-        phase.use_batch
-        and batch_mapper is not None
-        and job.combiner is None
-        and not skips
-        and not poison
-    ):
-        nbytes = sum(entry[3] for entry in split)
-        processed = len(split)
-        batch = (
-            phase.split_batches[index]
-            if phase.split_batches is not None
-            else None
-        )
-        try:
-            batch_mapper(split, ctx, batch)
-        except Exception as exc:  # noqa: BLE001 - wrap task failures
-            raise JobError(
-                f"map task failed in job {job.name!r}: {exc}"
-            ) from exc
-        if ctx.segments is not None and any(ctx.buckets):
-            raise JobError(
-                f"batch mapper of job {job.name!r} mixed emit() and "
-                f"emit_batch() in one task"
-            )
-        ctx.input_records = processed
-        counters.add(C.GROUP_ENGINE, C.MAP_INPUT_RECORDS, processed)
-        spill_runs = spill_base = None
-        if isinstance(ctx, SpillingMapContext):
-            spill_runs = ctx.spill_runs
-            spill_base = ctx.spill_base
-        return _MapTaskResult(
-            buckets=ctx.buckets,
-            bucket_bytes=ctx.bucket_bytes,
-            counters=counters,
-            stats=TaskStats(
-                input_records=processed,
-                input_bytes=nbytes,
-                output_records=ctx.output_records,
-                output_bytes=ctx.output_bytes,
-                compute_ops=ctx.compute_ops,
-            ),
-            t_start=t_start,
-            t_end=time.perf_counter(),
-            spill_runs=spill_runs,
-            spill_base=spill_base,
-            segments=ctx.segments,
-        )
+    ctx.input_records = len(split)
+    counters.add(C.GROUP_ENGINE, C.MAP_INPUT_RECORDS, len(split))
+    return _task_result(ctx, counters, sum(entry[3] for entry in split), t_start)
+
+
+def _scalar_map(
+    phase: _MapPhase,
+    index: int,
+    skips: tuple[int, ...],
+    poison: tuple[int, ...],
+    t_start: float,
+) -> _MapTaskResult:
+    """The split record by record through the scalar ``job.mapper``."""
+    job = phase.job
+    split = phase.splits[index]
+    counters = Counters()
+    ctx = _map_context(phase, counters)
     mapper = job.mapper
     nbytes = 0
     processed = 0
@@ -461,34 +494,14 @@ def _map_task_body(
     # One add per task, not one per record — the map inner loop stays
     # free of counter bookkeeping.
     counters.add(C.GROUP_ENGINE, C.MAP_INPUT_RECORDS, processed)
-    spill_runs = spill_base = None
-    if isinstance(ctx, SpillingMapContext):
-        if job.combiner is not None and ctx.spilled:
+    if job.combiner is not None:
+        if isinstance(ctx, SpillingMapContext) and ctx.spilled:
             # The combiner contract is whole-bucket grouping: restore
             # the unbounded bucket shape first (spill telemetry stays —
-            # the spills did happen).
+            # the spills did happen; no run is left to stage).
             ctx.unspill()
-        elif job.combiner is None:
-            spill_runs = ctx.spill_runs
-            spill_base = ctx.spill_base
-    if job.combiner is not None:
         _apply_combiner(job, ctx, counters)
-    return _MapTaskResult(
-        buckets=ctx.buckets,
-        bucket_bytes=ctx.bucket_bytes,
-        counters=counters,
-        stats=TaskStats(
-            input_records=ctx.input_records,
-            input_bytes=nbytes,
-            output_records=ctx.output_records,
-            output_bytes=ctx.output_bytes,
-            compute_ops=ctx.compute_ops,
-        ),
-        t_start=t_start,
-        t_end=time.perf_counter(),
-        spill_runs=spill_runs,
-        spill_base=spill_base,
-    )
+    return _task_result(ctx, counters, nbytes, t_start)
 
 
 # Opt in to the recovery layer's skipping mode (Hadoop's
@@ -549,8 +562,8 @@ def _reduce_task_body(phase: _ReducePhase, r: int) -> _ReduceTaskResult:
     reducer = job.reducer
     groups = 0
     if phase.runs is not None:
-        # Budgeted shuffle: k-way merge the sorted runs — byte-identical
-        # to the resident stable sort (see repro.mapreduce.spill).
+        # Budgeted shuffle: merge the sorted runs — byte-identical to
+        # the resident stable sort (see repro.mapreduce.spill).
         groups_iter = _grouped(merge_runs(phase.runs[r], phase.store, job.sort_key))
     elif phase.seg_buckets is not None:
         # Columnar shuffle: group contiguous key slices of the
@@ -1566,19 +1579,10 @@ class Cluster:
         workers: WorkerManager | None = None,
         localities: dict[int, tuple[tuple[str, ...], int]] | None = None,
     ) -> tuple[list[_MapTaskResult], list[TaskStats], PhaseReport | None]:
-        # The batch path bypasses the per-record loop, so it is only
-        # safe when nothing needs per-record hooks: no fault injection
-        # or retry recovery (record skipping / poison offsets).  A
-        # memory budget is fine — the spilling context replays batch
-        # emissions record by record, keeping spill points identical.
-        recovery_active = (
-            self.fault_plan is not None and not self.fault_plan.is_empty
-        ) or self.retry.active
-        use_batch = (
-            job.batch_mapper is not None
-            and not recovery_active
-            and self.resolved_kernel == "numpy"
-        )
+        # Retry, fault plans and a memory budget keep the batch path:
+        # attempts with skips or poison run the scalar loop, and the
+        # spilling context spills batch emissions at the scalar points.
+        use_batch = job.batch_mapper is not None and self.resolved_kernel == "numpy"
         split_batches = (
             self._stage_split_batches(job, splits) if use_batch else None
         )

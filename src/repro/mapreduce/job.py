@@ -236,6 +236,26 @@ class MapContext:
         """Increment a user counter."""
         self._counters.add(group, name, amount)
 
+    def _route(self, keys):
+        """Reducer index of every key of an int64 array, validated like
+        :meth:`emit` validates one key."""
+        num_reducers = self._num_reducers
+        if self._partitioner is identity_partitioner:
+            return keys % num_reducers  # non-negative, like Python's %
+        routed = np.fromiter(
+            (self._partitioner(int(k), num_reducers) for k in keys),
+            dtype=np.int64,
+            count=len(keys),
+        )
+        bad = (routed < 0) | (routed >= num_reducers)
+        if bad.any():
+            k = int(keys[int(np.flatnonzero(bad)[0])])
+            raise JobError(
+                f"partitioner routed key {k!r} to invalid reducer "
+                f"{self._partitioner(k, num_reducers)}"
+            )
+        return routed
+
     def emit_batch(self, keys, counts, values, sizes) -> None:
         """Bulk-emit: group ``g`` sends ``values[g]`` to every key of its
         slice of ``keys``.
@@ -266,21 +286,7 @@ class MapContext:
         num_reducers = self._num_reducers
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
-        if self._partitioner is identity_partitioner:
-            routed = keys % num_reducers  # non-negative, like Python's %
-        else:
-            routed = np.fromiter(
-                (self._partitioner(int(k), num_reducers) for k in keys),
-                dtype=np.int64,
-                count=len(keys),
-            )
-            bad = (routed < 0) | (routed >= num_reducers)
-            if bad.any():
-                k = int(keys[int(np.flatnonzero(bad)[0])])
-                raise JobError(
-                    f"partitioner routed key {k!r} to invalid reducer "
-                    f"{self._partitioner(k, num_reducers)}"
-                )
+        routed = self._route(keys)
         # Group index and per-pair size of every flattened emission.
         group_of = np.repeat(np.arange(len(values), dtype=np.int64), counts)
         pair_sizes = np.repeat(np.asarray(sizes, dtype=np.int64), counts)
@@ -324,7 +330,8 @@ class SpillingMapContext(MapContext):
     them back with :func:`repro.mapreduce.spill.merge_runs`.
 
     Spill points are a pure function of the emission sequence, so they
-    are identical on the serial, thread and process executors; the only
+    are identical on the serial, thread and process executors and for
+    scalar :meth:`emit` and batch :meth:`emit_batch` emission; the only
     observable difference of a budgeted run is the ``spill*`` telemetry.
     """
 
@@ -359,23 +366,42 @@ class SpillingMapContext(MapContext):
             self._spill()
 
     def emit_batch(self, keys, counts, values, sizes) -> None:
-        """Batch emission under a budget: replay the scalar sequence.
+        """Batch emission under a budget, spilling exactly where the
+        equivalent :meth:`emit` loop would.
 
-        Spill points are a pure function of the emission sequence, so a
-        budgeted task must observe every emission individually — the
-        batch collapses to the equivalent :meth:`emit` loop (identical
-        spill files, ``SPILL*`` counters and byte accounting), while the
-        *mapper* still gets to compute its routing columnarly.
+        :meth:`emit` spills right after the emission that lifts the
+        buffered bytes past the budget, so the spill points follow from
+        the cumulative pair sizes in scalar emission order (group-major,
+        each group's targets in order): one ``searchsorted`` per spill
+        finds the next one.  Each slice between spill points goes to the
+        row buckets in that order and settles its counters in one
+        :meth:`account_emissions` call — the same buckets, spill files,
+        ``SPILL*`` counters and byte accounting as the scalar loop.
         """
-        if not isinstance(keys, list):
-            keys = keys.tolist()
-        emit = self.emit
-        pos = 0
-        for g, value in enumerate(values):
-            cnt = counts[g]
-            for key in keys[pos : pos + cnt]:
-                emit(key, value)
-            pos += cnt
+        keys = np.ascontiguousarray(keys, dtype=np.int64)
+        routed = self._route(keys).tolist()
+        counts = np.asarray(counts, dtype=np.int64)
+        group_of = np.repeat(np.arange(len(values)), counts).tolist()
+        pair_sizes = np.repeat(np.asarray(sizes, dtype=np.int64), counts)
+        # MAP_OUTPUT_BYTES after each emission
+        after = self.output_bytes + np.cumsum(pair_sizes)
+        keys = keys.tolist()
+        pair_sizes = pair_sizes.tolist()
+        buckets = self.buckets
+        bucket_bytes = self.bucket_bytes
+        n = len(keys)
+        lo = 0
+        while lo < n:
+            limit = self._flushed_bytes + self._budget
+            hi = min(int(np.searchsorted(after, limit, side="right")) + 1, n)
+            for i in range(lo, hi):
+                r = routed[i]
+                buckets[r].append((keys[i], values[group_of[i]]))
+                bucket_bytes[r] += pair_sizes[i]
+            self.account_emissions(hi - lo, int(after[hi - 1]) - self.output_bytes)
+            if self.output_bytes > limit:
+                self._spill()
+            lo = hi
 
     def _spill(self) -> None:
         from repro.mapreduce.spill import encode_spill_record, sort_run
@@ -522,12 +548,15 @@ class MapReduceJob:
         order) and counter totals as running ``mapper`` over the split
         record by record — emitting through
         :meth:`MapContext.emit_batch` guarantees this by construction.
-        The engine only uses it when the resolved kernel is ``numpy``
-        and neither fault injection nor retry recovery is active (their
-        skipping/poison hooks are per-record); under a ``memory_budget``
-        it runs with batch emissions replayed record by record so spill
-        points are unchanged.  The scalar ``mapper`` remains the
-        reference implementation and must always be provided.
+        The engine uses it whenever the resolved kernel is ``numpy``,
+        under retry, fault plans, a ``memory_budget`` and replication
+        alike; a budgeted task spills its batch emissions at the same
+        points as the scalar loop.  The scalar ``mapper`` remains the
+        reference implementation and must always be provided: it runs
+        attempts that skip or poison individual records, and it reruns a
+        split whose batch mapper raised, to locate the bad record (a
+        scalar success there is a batch/scalar disagreement and fails
+        the task with a :class:`~repro.errors.JobError`).
     """
 
     name: str

@@ -30,6 +30,22 @@ __all__ = ["LocalFSDFS"]
 _SEGMENT_RE = re.compile(r"^[A-Za-z0-9._#=-]+$")
 
 
+def _read_text(target: Path) -> str:
+    """A file's text exactly as written: no newline translation."""
+    with target.open(encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+def _split_lines(text: str) -> list[str]:
+    r"""Split on ``"\n"`` only — the one separator the writer forbids
+    inside a record (``str.splitlines`` also breaks on ``"\r"``,
+    ``"\x1c"``, ``"\u2028"`` and more)."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the terminator of the last line, or an empty file
+    return lines
+
+
 class LocalFSDFS:
     """Line-oriented file store rooted at a local directory.
 
@@ -81,26 +97,23 @@ class LocalFSDFS:
         """
         if target.is_dir():
             raise DFSError(f"{path!r} is a directory")
+        stored = list(lines)
+        text = "\n".join(stored) + "\n" if stored else ""
+        if text.count("\n") != len(stored):
+            bad = next(line for line in stored if "\n" in line)
+            raise DFSError(f"record contains a newline: {bad!r}")
         target.parent.mkdir(parents=True, exist_ok=True)
         tmp = target.parent / f".{target.name}.tmp"
-        stored: list[str] = []
-        nbytes = 0
         try:
-            with tmp.open("w", encoding="utf-8") as fh:
-                for line in lines:
-                    if "\n" in line:
-                        raise DFSError(
-                            f"record contains a newline: {line!r}"
-                        )
-                    fh.write(line)
-                    fh.write("\n")
-                    stored.append(line)
-                    nbytes += len(line) + 1
+            # newline="": no translation, so "\n" is the only separator
+            # on disk and every other character round-trips.
+            with tmp.open("w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
         os.replace(tmp, target)
-        return stored, nbytes
+        return stored, len(text)
 
     # ------------------------------------------------------------------
     # Write / read
@@ -179,7 +192,7 @@ class LocalFSDFS:
         target = self._resolve_path(path)
         if not target.is_file():
             raise DFSError(f"no such file: {path!r}")
-        return target.read_text(encoding="utf-8").splitlines()
+        return _split_lines(_read_text(target))
 
     def read_file(self, path: str) -> list[str]:
         """All lines of a file; accounts the read volume.
@@ -197,9 +210,9 @@ class LocalFSDFS:
             if served is not None:
                 self.bytes_read += sum(len(line) + 1 for line in served)
                 return served
-        text = target.read_text(encoding="utf-8")
+        text = _read_text(target)
         self.bytes_read += len(text)
-        return text.splitlines()
+        return _split_lines(text)
 
     def iter_records(self, path: str) -> Iterator[tuple[int, str]]:
         """Yield ``(line_number, line)`` pairs, the map-input record form."""

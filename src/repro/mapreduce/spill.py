@@ -16,7 +16,7 @@ the key
 
     ``(sort_key(key), map_task_id, seq)``
 
-which is unique per record (so heap comparisons never reach the key or
+which is unique per record (so sorting on it never compares the key or
 value objects) and reproduces the stable sort exactly.  Byte-for-byte
 part files, identical counters, identical canonical simulated seconds.
 
@@ -29,7 +29,6 @@ must stay newline-free text.
 from __future__ import annotations
 
 import base64
-import heapq
 import pickle
 from dataclasses import dataclass, field
 from typing import Any
@@ -95,30 +94,33 @@ class SpillStore:
         return self.files[path]
 
 
-def _iter_run(run: SpillRun, dfs, sort_key):
-    """Yield ``(skey, task, seq, key, value)`` in ascending merge order."""
-    if run.path is not None:
-        for line in dfs.read_side_file(run.path):
-            seq, key, value = decode_spill_record(line)
-            yield (sort_key(key), run.task, seq, key, value)
-    else:
-        # The resident remainder is in emission order; decorate-sort it
-        # exactly like the unbounded path's stable sort.
-        yield from sorted(
-            (sort_key(key), run.task, run.base + i, key, value)
-            for i, (key, value) in enumerate(run.records)
-        )
-
-
 def merge_runs(runs: list[SpillRun], dfs, sort_key) -> list[tuple[Any, Any]]:
-    """K-way heap merge of sorted runs back into stable-sort order.
+    """Merge sorted runs back into stable-sort order with one sort.
 
-    Returns ``(key, value)`` pairs ordered exactly as
-    ``_sorted_by_key`` would order the concatenated unbounded buckets —
-    see the module docstring for why the merge key reproduces it.
+    Every record is decorated with its unique merge key and the whole
+    list is sorted once: timsort finds the presorted spilled runs and
+    merges them, and because the key is unique the key and value
+    objects are never compared.  Returns ``(key, value)`` pairs ordered
+    exactly as ``_sorted_by_key`` would order the concatenated unbounded
+    buckets — see the module docstring for why the merge key reproduces
+    it.
     """
-    merged = heapq.merge(*(_iter_run(run, dfs, sort_key) for run in runs))
-    return [(key, value) for (__, __, __, key, value) in merged]
+    decorated = []
+    for run in runs:
+        task = run.task
+        if run.path is not None:
+            for line in dfs.read_side_file(run.path):
+                seq, key, value = decode_spill_record(line)
+                decorated.append((sort_key(key), task, seq, key, value))
+        else:
+            # The resident remainder is in emission order.
+            base = run.base
+            decorated.extend(
+                (sort_key(key), task, base + i, key, value)
+                for i, (key, value) in enumerate(run.records)
+            )
+    decorated.sort()
+    return [(key, value) for (__, __, __, key, value) in decorated]
 
 
 def sort_run(records: list, base: int, sort_key) -> list[tuple[int, Any, Any]]:

@@ -3,12 +3,16 @@
 Hypothesis drives arbitrary file contents (unicode lines, empty files,
 ragged block boundaries) through the storage plane and asserts the
 invariants the golden tests rely on: chunk/reassemble is the identity,
-checksums are content-determined, any single-replica corruption is
-survivable, and a plane-served DFS read equals the plain one.
+checksums equal an independent bit-at-a-time CRC32C, any single-replica
+corruption is survivable, and a plane-served DFS read equals the plain
+one.
 """
 
 from __future__ import annotations
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,11 +56,68 @@ def test_chunk_reassemble_is_identity(lines, block_records):
         assert 1 <= len(chunk) <= block_records
 
 
+def _crc32c_bitwise(data: bytes, crc: int = 0) -> int:
+    """Bit-at-a-time CRC32C: the definition, independent of any table."""
+    crc ^= 0xFFFFFFFF
+    for byte in data:
+        crc ^= byte
+        for __ in range(8):
+            crc = (crc >> 1) ^ (0x82F63B78 if crc & 1 else 0)
+    return crc ^ 0xFFFFFFFF
+
+
+#: payload lengths on both sides of the kernel's boundaries: 64-byte
+#: chunks, the byte loop's cutoff (256) and the first fold level's
+#: 64-chunk groups (4 KiB); the next fold level (256 KiB) has its own test
+_BOUNDARY_LENGTHS = [n + d for n in (64, 128, 256, 4096, 8192) for d in (-1, 0, 1)]
+_CRC_SEED = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    length=st.one_of(
+        st.integers(min_value=0, max_value=20_000),
+        st.sampled_from(_BOUNDARY_LENGTHS),
+    ),
+    seed=st.integers(min_value=0),
+    crc=st.one_of(st.just(0), _CRC_SEED),
+)
+def test_crc32c_matches_bitwise_reference(length, seed, crc):
+    data = random.Random(seed).randbytes(length)
+    assert crc32c(data, crc) == _crc32c_bitwise(data, crc)
+
+
+@pytest.mark.parametrize("length", [64 * 4096 + 1, (1 << 20) + 3])
+def test_crc32c_matches_bitwise_reference_past_a_mebibyte(length):
+    """Payloads that need a second and a third fold level."""
+    data = random.Random(length).randbytes(length)
+    assert crc32c(data) == _crc32c_bitwise(data)
+    # chained across a split inside the payload
+    split = length // 3
+    assert crc32c(data[split:], crc32c(data[:split])) == _crc32c_bitwise(data)
+
+
+@pytest.mark.parametrize(
+    "data, expected",
+    [
+        # RFC 3720 (iSCSI) appendix B.4 test vectors
+        (bytes(32), 0x8A9136AA),
+        (b"\xff" * 32, 0x62A8AB43),
+        (bytes(range(32)), 0x46DD794E),
+        (bytes(range(31, -1, -1)), 0x113FDB5C),
+        (b"123456789", 0xE3069283),
+    ],
+)
+def test_crc32c_rfc3720_vectors(data, expected):
+    assert crc32c(data) == expected
+    assert _crc32c_bitwise(data) == expected
+
+
 @given(lines=_LINES)
 def test_payload_checksum_is_content_determined(lines):
     payload = block_payload(lines)
     assert payload.decode("utf-8").split("\n")[:-1] == lines
-    assert crc32c(payload) == crc32c(payload)
+    assert crc32c(payload) == _crc32c_bitwise(payload)
     if lines:
         # Any single-line change moves the checksum.
         mutated = list(lines)
@@ -64,7 +125,7 @@ def test_payload_checksum_is_content_determined(lines):
         assert crc32c(block_payload(mutated)) != crc32c(payload)
 
 
-@given(data=st.binary(max_size=64), split=st.integers(min_value=0, max_value=64))
+@given(data=st.binary(max_size=1200), split=st.integers(min_value=0, max_value=1200))
 def test_crc32c_chaining(data, split):
     split = min(split, len(data))
     assert crc32c(data[split:], crc32c(data[:split])) == crc32c(data)

@@ -7,8 +7,10 @@ both implement the same interface and must behave identically.
 import pytest
 
 from repro.errors import DFSError
+from repro.mapreduce.blocks import BlockPlane
 from repro.mapreduce.dfs import InMemoryDFS
 from repro.mapreduce.localfs import LocalFSDFS
+from repro.mapreduce.workers import WorkerPool
 
 
 @pytest.fixture(params=["memory", "localfs"])
@@ -49,6 +51,46 @@ class TestWriteRead:
         lines = dfs.read_file("f")
         lines.append("mutated")
         assert dfs.read_file("f") == ["a"]
+
+
+#: characters str.splitlines() treats as line breaks; only "\n" is one
+_NON_NEWLINE_BREAKS = [
+    "a\rb", "\r", "x\r", "c\x1cd", "e\u2028f", "\x0b\x0c\x1d\x1e\x85\u2029"
+]
+
+
+class TestOnlyNewlineSeparatesLines:
+    """A record may hold any character but "\n", on both back-ends,
+    with and without replicated, checksummed blocks."""
+
+    @pytest.fixture(params=["plain", "replicated"])
+    def store(self, request, dfs):
+        if request.param == "replicated":
+            dfs.block_plane = BlockPlane(dfs, WorkerPool(4), 2, block_records=2)
+        return dfs
+
+    @pytest.mark.parametrize("line", _NON_NEWLINE_BREAKS)
+    def test_record_round_trips(self, store, line):
+        lines = ["before", line, "after", ""]
+        nbytes = store.write_file("f", lines)
+        assert store.read_file("f") == lines
+        assert store.bytes_read == nbytes
+        assert list(store.iter_records("f")) == list(enumerate(lines))
+        store.write_side_file("side", lines)
+        assert store.read_side_file("side") == lines
+        if store.block_plane is not None:
+            assert store.block_plane.report.block_corruptions == 0
+            assert store.block_plane.fsck().exit_code == 0
+
+    def test_empty_file_has_no_lines(self, store):
+        store.write_file("f", [])
+        assert store.read_file("f") == []
+        store.write_side_file("side", [])
+        assert store.read_side_file("side") == []
+
+    def test_newline_error_names_the_first_offending_line(self, store):
+        with pytest.raises(DFSError, match=r"record contains a newline: 'b\\nc'"):
+            store.write_file("f", ["a", "b\nc", "d\ne"])
 
 
 class TestAtomicWrites:

@@ -47,14 +47,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import groupby, repeat
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any
 
 import numpy as np
 
 from repro.data.io import RECT_CODEC
 from repro.errors import BadRecordError, JobError, TaskRetryExhausted
+from repro.geometry.rectangle import Rect
 from repro.kernels import resolve_kernel
 from repro.kernels.batch import RectBatch
 from repro.mapreduce.blocks import BlockPlane
@@ -84,6 +86,9 @@ from repro.obs.profile import TaskProfiler, run_profiled
 from repro.obs.trace import NullRecorder
 
 __all__ = ["Cluster", "JobResult", "PhaseTimings"]
+
+#: where each rectangle codec's records hold their frozen ``Rect``
+_RECT_OF = {"rect": itemgetter(1), "tagged": attrgetter("rect")}
 
 
 @dataclass
@@ -898,7 +903,7 @@ class Cluster:
         workers = self._worker_manager(job, recovery_active, rec, led)
         reduce_report: PhaseReport | None = None
 
-        with rec.span(f"job:{job.name}", cat="job", track="engine") as job_span:
+        with executor, rec.span(f"job:{job.name}", cat="job", track="engine") as job_span:
             if plane is not None:
                 # The disk rots before the job reads: storage faults are
                 # enacted at the job-start barrier so detection happens
@@ -911,6 +916,8 @@ class Cluster:
                 sp.set("splits", len(splits))
                 sp.set("records", sum(len(s) for s in splits))
             timings.split_s = time.perf_counter() - t0
+            # Forked tasks return these by reference, not by copy.
+            executor.share(partial(self._payload_rects, job, splits))
             localities = (
                 plane.split_localities(splits) if plane is not None else None
             )
@@ -1531,6 +1538,29 @@ class Cluster:
                         entries[lo : lo + chunk] for lo in range(0, n, chunk)
                     )
         return splits
+
+    def _payload_rects(
+        self, job: MapReduceJob, splits: list[list[tuple[str, int, Any, int]]]
+    ) -> list[Rect]:
+        """The frozen rectangles inside the splits' records.
+
+        Rect-codec records are ``(rid, Rect)`` pairs and tagged-codec
+        records are :class:`~repro.data.io.TaggedRect` objects (a split
+        never spans files, so one codec covers it); other formats share
+        nothing.  Called only by an executor about to fork.
+        """
+        get_rect = {}
+        for path in job.input_paths:
+            codec = job.input_codec_for(path)
+            getter = _RECT_OF.get(codec.name) if codec is not None else None
+            if getter is not None:
+                get_rect.update(dict.fromkeys(self.dfs.resolve(path), getter))
+        rects: list[Rect] = []
+        for split in splits:
+            getter = get_rect.get(split[0][0]) if split else None
+            if getter is not None:
+                rects.extend(map(getter, map(itemgetter(2), split)))
+        return rects
 
     def _file_records(
         self, job: MapReduceJob, f: str, lines: list[str], codec

@@ -23,8 +23,12 @@ Three back-ends are provided:
     A ``fork``-based :class:`multiprocessing.pool.Pool`.  Workers
     inherit the payload through copy-on-write memory, so job closures
     (mappers capturing grids, marking engines, joiners) need not be
-    picklable; only task *results* cross the process boundary.  On
-    platforms without ``fork`` the back-end degrades to threads.
+    picklable; only task *results* cross the process boundary, and
+    they cross by value except for references to frozen payload
+    objects the parent published (see "Result contract").  A worker
+    that dies mid-phase fails the phase with a one-line
+    :class:`~repro.errors.JobError`.  On platforms without ``fork``
+    the back-end degrades to threads.
 
 Determinism contract: ``run_phase`` returns results indexed by task id
 regardless of completion order, and workers must be pure functions of
@@ -47,7 +51,17 @@ the process back-end ships results through a pipe.  That includes the
 observability payloads riding in result objects: worker-side time
 stamps, counter shards, and (under ``--profile``) the raw cProfile
 stats dict ``{(file, line, func): (cc, nc, tt, ct, callers)}``, which
-is plain tuples/dicts/strings by construction.
+is plain tuples/dicts/strings by construction.  One exception keeps
+the heaviest results small: an executor may be handed the job's
+*frozen payload objects* (:meth:`TaskExecutor.share`; the engine
+publishes the rectangles of the map splits).  Right before its first
+fork the process back-end indexes them by ``id`` in a reference table
+the workers inherit, and a worker pickles any of them it returns as a
+reference the parent resolves to its own object — so a rectangle
+keeps its identity (and its memoized CSV form) across every phase of
+the job instead of being copied out and back.  Frozen objects cannot
+have been mutated by the worker, so the parent's object is exactly
+the one the worker held.
 
 Worker identity: executors know nothing about the *named* virtual
 workers of :mod:`repro.mapreduce.workers` — pool slots here are
@@ -63,9 +77,13 @@ physically ran on one thread or sixteen forks.
 from __future__ import annotations
 
 import abc
+import copyreg
+import gc
+import io
 import multiprocessing
 import os
 import pickle
+import signal
 import threading
 import time
 from collections.abc import Callable
@@ -73,6 +91,7 @@ from concurrent.futures import FIRST_COMPLETED, FIRST_EXCEPTION, ThreadPoolExecu
 from typing import Any
 
 from repro.errors import JobError
+from repro.geometry.rectangle import Rect
 
 __all__ = [
     "EXECUTORS",
@@ -81,6 +100,7 @@ __all__ = [
     "ThreadExecutor",
     "ProcessExecutor",
     "PhaseSession",
+    "build_ref_table",
     "make_executor",
     "default_workers",
 ]
@@ -171,6 +191,26 @@ class TaskExecutor(abc.ABC):
         on ``None``."""
         return None
 
+    def share(self, source: Callable[[], list] | None) -> None:
+        """Publish the job's frozen payload objects; ``None`` withdraws them.
+
+        ``source`` is a thunk returning a list of the frozen
+        rectangles (:class:`~repro.geometry.rectangle.Rect`) that the
+        phase payloads carry.  Only a back-end that forks calls it,
+        right before its first fork, to build the reference table its
+        workers return those objects through; every other back-end
+        shares the payload by reference already and ignores it, so
+        serial and thread runs never pay for it.
+        """
+
+    # An executor is scoped to one job: leaving the ``with`` block
+    # drops whatever the job published.
+    def __enter__(self) -> "TaskExecutor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.share(None)
+
 
 class SerialExecutor(TaskExecutor):
     """Tasks run inline, one after another — the seed engine behaviour."""
@@ -255,12 +295,73 @@ class _ThreadSession(PhaseSession):
 # re-dispatching a phase, two clusters on two threads) can never fork a
 # pool against another call's payload; save-and-restore (instead of
 # resetting to ``None``) keeps an outer call's state intact across an
-# inner one.
-_FORK_STATE: tuple[TaskWorker, Any] | None = None
+# inner one.  The third member is the phase's reference table.
+_FORK_STATE: tuple[TaskWorker, Any, dict[int, Any] | None] | None = None
 _FORK_LOCK = threading.Lock()
 
+#: how often a process phase waiting on results checks its workers live
+_LIVENESS_POLL_S = 0.05
 
-def pack_task_result(result) -> tuple[bytes, list[bytes]]:
+
+def build_ref_table(objs: list) -> dict[int, Any]:
+    """``id -> object`` over a job's frozen payload objects.
+
+    Built in C-level bulk.  The table keeps every registered object
+    alive, so no object a worker creates can ever share an ``id`` with
+    one — which is what lets the worker prove inheritance by identity.
+    """
+    stray = set(map(type, objs)) - {Rect}
+    if stray:
+        names = ", ".join(sorted(cls.__name__ for cls in stray))
+        raise JobError(f"only frozen rectangles may be shared by reference, got {names}")
+    return dict(zip(map(id, objs), objs))
+
+
+def _payload_ref(key: int):
+    """What a worker pickles in place of an inherited payload object.
+
+    A phase's own unpickler resolves it against that phase's table;
+    reached any other way the reference has nothing to resolve against.
+    """
+    raise JobError(f"task result references payload object {key:#x} outside its phase")
+
+
+def _ref_dispatch(refs: dict[int, Any]) -> dict:
+    """A pickler dispatch table emitting references to ``refs`` members."""
+    get = refs.get
+
+    def reduce(obj):
+        if get(id(obj)) is obj:
+            return _payload_ref, (id(obj),)
+        return obj.__reduce_ex__(5)  # created by the worker: by value
+
+    table = copyreg.dispatch_table.copy()
+    table[Rect] = reduce
+    return table
+
+
+class _RefUnpickler(pickle.Unpickler):
+    """Resolves payload references against one phase's table."""
+
+    def __init__(self, data: bytes, buffers: list[bytes], refs: dict[int, Any]) -> None:
+        super().__init__(io.BytesIO(data), buffers=buffers)
+        self._get = refs.get
+
+    def find_class(self, module: str, name: str):
+        if name == "_payload_ref" and module == __name__:
+            return self._resolve
+        return super().find_class(module, name)
+
+    def _resolve(self, key: int):
+        obj = self._get(key)
+        if obj is None:
+            raise JobError(f"task result references unknown payload object {key:#x}")
+        return obj
+
+
+def pack_task_result(
+    result, refs: dict[int, Any] | None = None
+) -> tuple[bytes, list[bytes]]:
     """Serialize a task result for the pipe: protocol 5, out-of-band.
 
     The worker serializes once with pickle protocol 5, exporting large
@@ -272,21 +373,110 @@ def pack_task_result(result) -> tuple[bytes, list[bytes]]:
     protocol 4.  Combined with the compact ``__getstate__`` forms of
     ``Rect``/``TaggedRect`` this measurably shrinks per-task IPC (see
     the regression test in ``tests/mapreduce/test_executor.py``).
+
+    ``refs`` is the phase's reference table (:func:`build_ref_table`):
+    a rectangle that *is* one of its members — inherited from the
+    payload, not merely equal to one — packs as a short reference
+    instead of its state.  Only rectangles pay the table lookup; every
+    other object pickles exactly as without a table.
     """
     buffers: list[pickle.PickleBuffer] = []
-    data = pickle.dumps(result, protocol=5, buffer_callback=buffers.append)
-    return data, [b.raw().tobytes() for b in buffers]
+    out = io.BytesIO()
+    pickler = pickle.Pickler(out, protocol=5, buffer_callback=buffers.append)
+    if refs:
+        pickler.dispatch_table = _ref_dispatch(refs)
+    pickler.dump(result)
+    return out.getvalue(), [b.raw().tobytes() for b in buffers]
 
 
-def unpack_task_result(packed: tuple[bytes, list[bytes]]):
-    """Inverse of :func:`pack_task_result`."""
+def unpack_task_result(
+    packed: tuple[bytes, list[bytes]], refs: dict[int, Any] | None = None
+):
+    """Inverse of :func:`pack_task_result`, resolving against ``refs``.
+
+    The collector is paused for the decode (and its prior state
+    restored even if the decode raises): a result is a large graph of
+    fresh container objects whose allocation would otherwise keep
+    triggering collections, full ones over the parent's whole heap
+    included, that find nothing to free.
+    """
     data, buffers = packed
-    return pickle.loads(data, buffers=buffers)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if refs:
+            return _RefUnpickler(data, buffers, refs).load()
+        return pickle.loads(data, buffers=buffers)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _run_forked_task(index: int):
-    worker, payload = _FORK_STATE  # type: ignore[misc] - set before fork
-    return pack_task_result(worker(payload, index))
+    worker, payload, refs = _FORK_STATE  # type: ignore[misc] - set before fork
+    return pack_task_result(worker(payload, index), refs)
+
+
+class _ForkedPool:
+    """One phase's forked pool, its workers and its reference table."""
+
+    def __init__(
+        self,
+        worker: TaskWorker,
+        payload: Any,
+        processes: int,
+        refs: dict[int, Any] | None,
+    ) -> None:
+        global _FORK_STATE
+        ctx = multiprocessing.get_context("fork")
+        with _FORK_LOCK:
+            saved = _FORK_STATE
+            _FORK_STATE = (worker, payload, refs)
+            # CPython's recipe for fork without exec: frozen, the
+            # inherited heap is invisible to the children's collector,
+            # which then never copy-on-write-touches it.
+            gc.freeze()
+            try:
+                self.pool = ctx.Pool(processes=processes)
+            finally:
+                gc.unfreeze()
+                _FORK_STATE = saved
+        # Pool has no public handle on its workers.  Snapshot them: a
+        # dead worker's task result never arrives, and Pool silently
+        # forks a replacement (outside the lock, so against whatever
+        # payload is published then) instead of failing anything.
+        self._procs = list(self.pool._pool)
+        self._refs = refs
+        self._label = getattr(worker, "__qualname__", repr(worker))
+
+    def check_alive(self) -> None:
+        """Raise a one-line :class:`JobError` if any worker has died."""
+        for proc in self._procs:
+            code = proc.exitcode
+            if code is not None:
+                how = f" ({signal.Signals(-code).name})" if code < 0 else ""
+                raise JobError(
+                    f"process phase {self._label}: forked worker pid {proc.pid} "
+                    f"died with exit code {code}{how}; its task result is lost"
+                )
+
+    def next_result(self, results):
+        """The next in-order result of an ``imap`` over this pool."""
+        while True:
+            try:
+                packed = results.next(timeout=_LIVENESS_POLL_S)
+            except multiprocessing.TimeoutError:
+                self.check_alive()
+            else:
+                return self.unpack(packed)
+
+    def unpack(self, packed):
+        return unpack_task_result(packed, self._refs)
+
+    def close(self) -> None:
+        # terminate (not close): running tasks are killed, not awaited.
+        self.pool.terminate()
+        self.pool.join()
 
 
 class ProcessExecutor(TaskExecutor):
@@ -296,22 +486,24 @@ class ProcessExecutor(TaskExecutor):
 
     def __init__(self, num_workers: int | None = None) -> None:
         self.num_workers = num_workers if num_workers else default_workers()
+        self._shared: Callable[[], list] | None = None
+        self._refs: dict[int, Any] | None = None
 
-    @staticmethod
-    def _fork_pool(ctx, worker: TaskWorker, payload: Any, processes: int):
+    def share(self, source: Callable[[], list] | None) -> None:
+        self._shared = source
+        self._refs = None
+
+    def _fork(self, worker: TaskWorker, payload: Any, processes: int) -> _ForkedPool:
         """Fork a pool whose workers inherit ``(worker, payload)``.
 
-        The global is published only for the duration of the fork and
-        restored to whatever it held before, under the module lock.
+        The job's reference table is built right before its first
+        fork and serves every later phase of the job: results resolve
+        to parent objects, so the next phase's payload holds the same
+        (registered) objects again.
         """
-        global _FORK_STATE
-        with _FORK_LOCK:
-            saved = _FORK_STATE
-            _FORK_STATE = (worker, payload)
-            try:
-                return ctx.Pool(processes=processes)
-            finally:
-                _FORK_STATE = saved
+        if self._refs is None and self._shared is not None:
+            self._refs = build_ref_table(self._shared())
+        return _ForkedPool(worker, payload, processes, self._refs)
 
     def run_phase(self, worker: TaskWorker, num_tasks: int, payload: Any) -> list:
         if num_tasks <= 1 or self.num_workers <= 1:
@@ -322,26 +514,21 @@ class ProcessExecutor(TaskExecutor):
             return ThreadExecutor(self.num_workers).run_phase(
                 worker, num_tasks, payload
             )
-        ctx = multiprocessing.get_context("fork")
-        pool = self._fork_pool(ctx, worker, payload, min(self.num_workers, num_tasks))
-        with pool:
+        forked = self._fork(worker, payload, min(self.num_workers, num_tasks))
+        try:
             # imap (not map) so the lowest failing task id raises
             # first, matching the serial error behaviour.
-            return [
-                unpack_task_result(packed)
-                for packed in pool.imap(
-                    _run_forked_task, range(num_tasks), chunksize=1
-                )
-            ]
+            results = forked.pool.imap(_run_forked_task, range(num_tasks), chunksize=1)
+            return [forked.next_result(results) for __ in range(num_tasks)]
+        finally:
+            forked.close()
 
     def open_session(self, worker: TaskWorker, payload: Any) -> PhaseSession | None:
         if self.num_workers <= 1:
             return None
         if "fork" not in multiprocessing.get_all_start_methods():
             return ThreadExecutor(self.num_workers).open_session(worker, payload)
-        ctx = multiprocessing.get_context("fork")
-        pool = self._fork_pool(ctx, worker, payload, self.num_workers)
-        return _ProcessSession(pool)
+        return _ProcessSession(self._fork(worker, payload, self.num_workers))
 
 
 class _ProcessSession(PhaseSession):
@@ -352,30 +539,35 @@ class _ProcessSession(PhaseSession):
     #: select()-style multiplexed wait)
     _POLL_S = 0.002
 
-    def __init__(self, pool) -> None:
-        self._pool = pool
+    def __init__(self, forked: _ForkedPool) -> None:
+        self._forked = forked
         self._pending: list[tuple[Any, Any]] = []  # (tag, AsyncResult)
 
     def submit(self, tag: Any) -> None:
-        self._pending.append((tag, self._pool.apply_async(_run_forked_task, (tag,))))
+        self._pending.append(
+            (tag, self._forked.pool.apply_async(_run_forked_task, (tag,)))
+        )
 
     def next_done(self, timeout: float | None = None):
         if not self._pending:
             raise JobError("next_done called with no outstanding invocations")
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            for i, (tag, ar) in enumerate(self._pending):
-                if ar.ready():
-                    del self._pending[i]
-                    return tag, unpack_task_result(ar.get())
+            done = next(
+                (i for i, (__, ar) in enumerate(self._pending) if ar.ready()), None
+            )
+            # Checked after the scan: a replacement worker's result can
+            # only be ready once the worker it replaced is dead.
+            self._forked.check_alive()
+            if done is not None:
+                tag, ar = self._pending.pop(done)
+                return tag, self._forked.unpack(ar.get())
             if deadline is not None and time.monotonic() >= deadline:
                 return None
             time.sleep(self._POLL_S)
 
     def close(self) -> None:
-        # terminate (not close): running losers are killed, not awaited.
-        self._pool.terminate()
-        self._pool.join()
+        self._forked.close()
         self._pending.clear()
 
 

@@ -1,6 +1,8 @@
 """Unit tests for the pluggable task executors."""
 
+import gc
 import os
+import signal
 import threading
 import time
 
@@ -8,14 +10,18 @@ import pytest
 
 import repro.mapreduce.executor as executor_mod
 from repro.errors import JobError
+from repro.geometry.rectangle import Rect
 from repro.mapreduce.executor import (
     EXECUTORS,
     ProcessExecutor,
     SerialExecutor,
     TaskExecutor,
     ThreadExecutor,
+    build_ref_table,
     default_workers,
     make_executor,
+    pack_task_result,
+    unpack_task_result,
 )
 
 ALL_EXECUTORS = sorted(EXECUTORS)
@@ -360,3 +366,224 @@ class TestTaskResultPacking:
         ex = ProcessExecutor(num_workers=2)
         results = ex.run_phase(square_worker, 4, {"base": 3})
         assert results == [3, 4, 7, 12]
+
+    def test_payload_resident_rect_packs_smaller(self):
+        """A rect the reference table holds ships as a short reference,
+        a by-value rect as its state; both unpack to equal results."""
+        from repro.data.io import TaggedRect
+
+        result = self._segments(Rect, TaggedRect)
+        rects = [t.rect for seg in result["segments"] for t in seg.values]
+        refs = build_ref_table(rects)
+        by_value = pack_task_result(result)
+        by_ref = pack_task_result(result, refs)
+        assert len(by_ref[0]) < len(by_value[0])
+        back = unpack_task_result(by_ref, refs)
+        for orig, seg in zip(result["segments"], back["segments"]):
+            assert all(a.rect is b.rect for a, b in zip(orig.values, seg.values))
+
+
+def _rects(n: int, y: float = 0.0) -> list[Rect]:
+    return [Rect(float(i), y, 1.0, 2.0) for i in range(n)]
+
+
+def _return_payload_rect(payload, index):
+    """The payload's rect, an equal rect the worker made, and a new one."""
+    rect = payload[index]
+    return rect, Rect(rect.x, rect.y, rect.l, rect.b), Rect(rect.x, 9.0, 1.0, 1.0)
+
+
+class _Forged:
+    """Pickles as a payload reference no table holds."""
+
+    def __reduce__(self):
+        return executor_mod._payload_ref, (0xDEAD,)
+
+
+class TestReferenceTransport:
+    """Forked tasks return payload rects as references to the parent's
+    own objects; everything else crosses by value."""
+
+    def test_payload_rects_come_back_as_parent_objects(self):
+        rects = _rects(6)
+        with ProcessExecutor(num_workers=2) as ex:
+            ex.share(lambda: rects)
+            got = ex.run_phase(_return_payload_rect, 6, rects)
+        for rect, (inherited, equal, fresh) in zip(rects, got):
+            assert inherited is rect
+            # worker-made rects are copies, even when equal to a payload one
+            assert equal == rect and equal is not rect
+            assert fresh == Rect(rect.x, 9.0, 1.0, 1.0)
+
+    def test_session_results_resolve_too(self):
+        rects = _rects(4)
+        with ProcessExecutor(num_workers=2) as ex:
+            ex.share(lambda: rects)
+            with ex.open_session(_return_payload_rect, rects) as session:
+                for tag in range(4):
+                    session.submit(tag)
+                seen = dict(session.next_done(timeout=10.0) for __ in range(4))
+        assert all(seen[i][0] is rects[i] for i in range(4))
+
+    def test_unshared_phase_returns_copies(self):
+        rects = _rects(3)
+        got = ProcessExecutor(num_workers=2).run_phase(_return_payload_rect, 3, rects)
+        assert [g[0] for g in got] == rects
+        assert all(g[0] is not r for g, r in zip(got, rects))
+
+    def test_table_built_once_per_job_and_dropped_at_exit(self, monkeypatch):
+        built = []
+        real = executor_mod.build_ref_table
+        monkeypatch.setattr(
+            executor_mod, "build_ref_table", lambda objs: built.append(1) or real(objs)
+        )
+        rects = _rects(4)
+        with ProcessExecutor(num_workers=2) as ex:
+            ex.share(lambda: rects)
+            first = ex.run_phase(_return_payload_rect, 4, rects)
+            # the next phase's payload holds the resolved (same) objects
+            second = ex.run_phase(_return_payload_rect, 4, [g[0] for g in first])
+            assert ex._refs is not None
+        assert built == [1]
+        assert all(g[0] is r for g, r in zip(second, rects))
+        assert ex._refs is None
+
+    def test_nested_phases_resolve_against_their_own_tables(self):
+        """Thread-outer, process-inner: each inner phase shares its own
+        rects and must get exactly those objects back."""
+
+        def outer(payload, index):
+            rects = _rects(3, y=float(index))
+            with ProcessExecutor(num_workers=2) as ex:
+                ex.share(lambda: rects)
+                got = ex.run_phase(_return_payload_rect, 3, rects)
+            return all(g[0] is r for g, r in zip(got, rects))
+
+        assert ThreadExecutor(num_workers=3).run_phase(outer, 3, None) == [True] * 3
+
+    def test_concurrent_phases_resolve_against_their_own_tables(self):
+        errors: list[str] = []
+        barrier = threading.Barrier(2, timeout=10.0)
+
+        def drive(tag: int) -> None:
+            rects = _rects(3, y=float(tag))
+            with ProcessExecutor(num_workers=2) as ex:
+                ex.share(lambda: rects)
+                for round_no in range(3):
+                    barrier.wait()
+                    got = ex.run_phase(_return_payload_rect, 3, rects)
+                    if not all(g[0] is r for g, r in zip(got, rects)):
+                        errors.append(f"thread {tag} round {round_no}")
+
+        threads = [threading.Thread(target=drive, args=(t,)) for t in (1, 2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30.0)
+            assert not t.is_alive()
+        assert errors == []
+
+    def test_forged_reference_is_a_one_line_job_error(self):
+        packed = pack_task_result([_Forged()])
+        with pytest.raises(JobError, match="unknown payload object 0xdead") as exc:
+            unpack_task_result(packed, build_ref_table(_rects(2)))
+        assert "\n" not in str(exc.value)
+        with pytest.raises(JobError, match="outside its phase"):
+            unpack_task_result(packed)
+
+    def test_only_rects_register(self):
+        with pytest.raises(JobError, match="only frozen rectangles.*list"):
+            build_ref_table([Rect(0.0, 0.0, 1.0, 1.0), [1, 2]])
+
+
+class TestGarbageCollectorState:
+    """Freezing around the fork and pausing around the decode must leave
+    the collector exactly as the phase found it."""
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def gc_state(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_after_a_phase(self, gc_state):
+        assert ProcessExecutor(num_workers=2).run_phase(square_worker, 4, {"base": 0})
+        assert gc.isenabled() is gc_state
+        assert gc.get_freeze_count() == 0
+
+    def test_after_a_phase_whose_task_raised(self, gc_state):
+        with pytest.raises(JobError, match="task 1 failed"):
+            ProcessExecutor(num_workers=2).run_phase(failing_worker, 4, 1)
+        assert gc.isenabled() is gc_state
+        assert gc.get_freeze_count() == 0
+
+    def test_after_a_failed_decode(self, gc_state):
+        with pytest.raises(JobError):
+            unpack_task_result(pack_task_result(_Forged()), build_ref_table(_rects(1)))
+        assert gc.isenabled() is gc_state
+
+    def test_after_a_session(self, gc_state):
+        with ProcessExecutor(num_workers=2).open_session(square_worker, {"base": 1}) as s:
+            s.submit(3)
+            assert s.next_done(timeout=10.0) == (3, 10)
+        assert gc.isenabled() is gc_state
+        assert gc.get_freeze_count() == 0
+
+
+def _dies(payload, index):
+    if index == payload:
+        os._exit(3)
+    time.sleep(0.05)
+    return index
+
+
+def _killed(payload, tag):
+    if tag == payload:
+        os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep(0.05)
+    return tag
+
+
+def _bounded(fn, timeout_s: float = 20.0):
+    """Run ``fn`` on a daemon thread; fail (not hang) past ``timeout_s``."""
+    outcome: dict = {}
+
+    def target():
+        try:
+            outcome["value"] = fn()
+        except Exception as exc:  # noqa: BLE001 - handed to the test
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout_s)
+    assert not thread.is_alive(), f"phase still running after {timeout_s}s"
+    return outcome
+
+
+class TestDyingWorker:
+    """A forked worker that dies mid-task fails the phase in bounded time
+    with a one-line error naming the phase and the exit code, instead
+    of waiting forever for a result that will never arrive."""
+
+    def test_run_phase(self):
+        outcome = _bounded(lambda: ProcessExecutor(num_workers=2).run_phase(_dies, 4, 2))
+        error = outcome.get("error")
+        assert isinstance(error, JobError), outcome
+        assert "process phase _dies" in str(error)
+        assert "exit code 3" in str(error)
+        assert "\n" not in str(error)
+
+    def test_session(self):
+        def drive():
+            with ProcessExecutor(num_workers=2).open_session(_killed, 1) as session:
+                for tag in range(3):
+                    session.submit(tag)
+                while True:
+                    session.next_done(timeout=1.0)
+
+        error = _bounded(drive).get("error")
+        assert isinstance(error, JobError), error
+        assert "process phase _killed" in str(error)
+        assert "exit code -9 (SIGKILL)" in str(error)

@@ -125,3 +125,42 @@ class TestJoinMatrix:
     def test_baseline_nontrivial(self):
         tuples, parts, counters, shuffled, marked = self.baseline
         assert tuples and parts and shuffled > 0 and marked > 0
+
+
+class TestReferenceSharingCost:
+    """Only a pool that actually forks builds a reference table and
+    freezes the collector; serial and thread runs (and a one-worker
+    process run, which never forks) run exactly the plain code."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        import gc
+
+        import repro.mapreduce.executor as executor_mod
+
+        calls = {"tables": 0, "freezes": 0}
+        build, freeze = executor_mod.build_ref_table, gc.freeze
+
+        def spy_build(objs):
+            calls["tables"] += 1
+            return build(objs)
+
+        def spy_freeze():
+            calls["freezes"] += 1
+            freeze()
+
+        monkeypatch.setattr(executor_mod, "build_ref_table", spy_build)
+        monkeypatch.setattr(gc, "freeze", spy_freeze)
+        return calls
+
+    @pytest.mark.parametrize(
+        "executor,workers", [("serial", 1), ("thread", 2), ("process", 1)]
+    )
+    def test_no_table_and_no_freeze_without_a_fork(self, spies, executor, workers):
+        assert TestJoinMatrix.run_join(executor, workers)[0]
+        assert spies == {"tables": 0, "freezes": 0}
+
+    def test_forking_run_builds_one_table_per_job(self, spies):
+        assert TestJoinMatrix.run_join("process", 2)[0]
+        assert spies["tables"] == 2  # mark job + join job
+        assert spies["freezes"] >= 4  # one per forked phase

@@ -182,7 +182,10 @@ class Rect:
         """The overlapping area as a rectangle, or ``None`` if disjoint.
 
         The start-point of the returned rectangle drives the 2-way-join
-        duplicate-avoidance rule of Section 5.2.
+        duplicate-avoidance rule of Section 5.2; it is exact.  The sides
+        are not: ``x_max - x_min`` rounds, and re-deriving a far edge
+        from a rounded side can overshoot an input's edge by an ulp, so
+        each side shrinks by ulps until the result lies inside both.
         """
         x_min = max(self.x_min, other.x_min)
         x_max = min(self.x_max, other.x_max)
@@ -190,7 +193,13 @@ class Rect:
         y_max = min(self.y_max, other.y_max)
         if x_max < x_min or y_max < y_min:
             return None
-        return Rect.from_corners(x_min, y_min, x_max, y_max)
+        l = x_max - x_min
+        while x_min + l > x_max:
+            l = math.nextafter(l, 0.0)
+        b = y_max - y_min
+        while y_max - b < y_min:
+            b = math.nextafter(b, 0.0)
+        return Rect(x_min, y_max, l, b)
 
     def min_distance(self, other: "Rect") -> float:
         """Minimum Euclidean distance between the two closed extents.

@@ -116,6 +116,15 @@ class TestIntersection:
         assert inter is not None
         assert inter.start_point == (5, 7)
 
+    def test_rounded_side_stays_inside_both(self):
+        # ``y_max - y_min`` rounds up here, so ``from_corners`` put the
+        # bottom edge an ulp below ``a``'s (found by the property suite).
+        a = Rect(0.0, 35121.118954464684, 0.0, 65537.0)
+        b = Rect(0.0, 35121.0, 0.0, 65537.0)
+        inter = a.intersection(b)
+        assert inter.start_point == (0.0, 35121.0)
+        assert a.contains_rect(inter) and b.contains_rect(inter)
+
 
 class TestDistance:
     def test_zero_when_overlapping(self):
